@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import InvalidInputError, NumericalFailureError
 from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
-                     cumulative_integral, differentiate, inner_product, l2_norm,
-                     reconstruct)
+                     cumulative_integral, differentiate, inner_product, reconstruct)
 from .wavelet import (BSplineWavelet, Scalogram, WaveletMoments, bspline5,
                       concentration_error, cwt, cwt_direct, default_scales,
                       evaluate_time_domain, make_wavelet, moments)
@@ -37,7 +36,6 @@ __all__ = [
     "differentiate",
     "cumulative_integral",
     "inner_product",
-    "l2_norm",
     "reconstruct",
     "BSplineWavelet",
     "Scalogram",

@@ -112,12 +112,12 @@ def cmd_synth(args) -> int:
               {"a": spurious.a.tolist(), "theta": spurious.theta.tolist()})
         config = {"example": "mode-mixing", "n": f.n}
     else:
-        f, gt = gen_random_well_separated(args.m, args.d or 2.0, args.eps_target,
-                                          args.seed, args.n or 4096,
-                                          noise_amplitude=args.noise)
+        d = args.d if args.d is not None else 2.0
+        f, gt = gen_random_well_separated(args.m, d, args.eps_target, args.seed,
+                                          args.n or 4096, noise_amplitude=args.noise)
         sio.write_signal_csv(out / "signal.csv", f)
         _dump(out / "ground_truth.json", sio.ground_truth_to_dict(gt))
-        config = {"example": "random", "m": args.m, "d": args.d or 2.0,
+        config = {"example": "random", "m": args.m, "d": d,
                   "eps_target": args.eps_target, "seed": args.seed, "n": f.n,
                   "noise": args.noise}
     sio.write_run_manifest(out, "synth", config, [out / "signal.csv"])

@@ -16,9 +16,6 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInputError
-from .ridge import ComparisonReport
-from .separation import (CrossTermResult, NormEquivalenceResult,
-                         PairwiseSeparation, SeparationReport)
 from .signal import Decomposition, PhasePair, SampledSignal
 from .synth import GroundTruth
 from .wavelet import Scalogram
@@ -33,8 +30,6 @@ __all__ = [
     "read_decomposition_json",
     "scalogram_to_dict",
     "write_scalogram_json",
-    "separation_report_to_dict",
-    "pairwise_separation_to_dict",
     "ridge_curves_to_dict",
     "ground_truth_to_dict",
     "write_run_manifest",
@@ -153,38 +148,6 @@ def scalogram_to_dict(s: Scalogram) -> dict:
 def write_scalogram_json(path, s: Scalogram):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scalogram_to_dict(s), fh)
-
-
-def separation_report_to_dict(r: SeparationReport) -> dict:
-    return {
-        "eps_envelope": r.eps_envelope,
-        "eps_frequency": r.eps_frequency,
-        "m_prime": r.m_prime,
-        "in_dictionary": r.in_dictionary,
-    }
-
-
-def pairwise_separation_to_dict(p: PairwiseSeparation) -> dict:
-    return {"d_min": p.d_min, "ratios": p.ratios.tolist(), "meets_d": p.meets_d}
-
-
-def norm_equivalence_to_dict(r: NormEquivalenceResult) -> dict:
-    return asdict(r)
-
-
-def cross_term_to_dict(r: CrossTermResult) -> dict:
-    return asdict(r)
-
-
-def comparison_report_to_dict(r: ComparisonReport) -> dict:
-    return {
-        "matched": [list(m) for m in r.matched],
-        "amp_errors": list(r.amp_errors),
-        "phase_errors": list(r.phase_errors),
-        "recon_sup_errors": list(r.recon_sup_errors),
-        "recon_rel_l2_errors": list(r.recon_rel_l2_errors),
-        "counts_equal": r.counts_equal,
-    }
 
 
 def ridge_curves_to_dict(curves) -> dict:

@@ -21,8 +21,9 @@ from scipy.interpolate import CubicSpline
 from .errors import InvalidInputError
 from .ridge import recover_components
 from .separation import check_scale_separation
-from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
-                     cumulative_integral, differentiate)
+from .signal import (EXTENSIONS, Decomposition, DictionaryParams, PhasePair,
+                     SampledSignal, cumulative_integral, differentiate, extend_span,
+                     moving_average)
 from .wavelet import make_wavelet
 
 __all__ = [
@@ -72,6 +73,8 @@ class PursuitConfig:
             raise InvalidInputError("delta must lie in (0,1)")
         if isinstance(self.init, str) and self.init != "ridge":
             raise InvalidInputError("init must be 'ridge' or an initial phase array")
+        if self.extension not in EXTENSIONS:
+            raise InvalidInputError(f"extension must be one of {EXTENSIONS}, got {self.extension!r}")
 
 
 @dataclass(frozen=True)
@@ -105,19 +108,11 @@ def _lowpass_sharp(x: np.ndarray, cutoff_cycles: float, extension: str) -> np.nd
     it evenly first, which removes the wrap-around jump for non-periodic
     spans.
     """
-    if extension == "mirror":
-        base = np.concatenate([x, x[-2:0:-1]])
-        cutoff = 2.0 * cutoff_cycles  # cycles count over the doubled span
-    else:
-        base = x[:-1]
-        cutoff = cutoff_cycles
-    X = np.fft.rfft(base)
+    ext = extend_span(x, extension)
+    X = np.fft.rfft(ext.base)
     k = np.arange(X.size)
-    X[k >= cutoff] = 0.0
-    y = np.fft.irfft(X, base.size)
-    if extension == "mirror":
-        return y[: x.size]
-    return np.concatenate([y, y[:1]])
+    X[k >= ext.spans * cutoff_cycles] = 0.0
+    return ext.restrict(np.fft.irfft(X, ext.base.size))
 
 
 def _demodulate(t: np.ndarray, r: np.ndarray, theta: np.ndarray, eta: float,
@@ -142,17 +137,6 @@ def _demodulate(t: np.ndarray, r: np.ndarray, theta: np.ndarray, eta: float,
     return a_t, b_t
 
 
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    window = max(1, min(window, 2 * (x.size // 2) - 1))
-    if window % 2 == 0:
-        window += 1
-    if window <= 1:
-        return x.copy()
-    half = window // 2
-    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
-    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
-
-
 def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
                    delta: float) -> np.ndarray:
     """Smooth the implied frequency, clamp it positive, re-integrate.
@@ -162,7 +146,7 @@ def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
     """
     om = differentiate(theta_raw, h)
     window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
-    om = _moving_average(om, window)
+    om = moving_average(om, window)
     floor = (1.0 - delta) * float(np.min(differentiate(theta_cur, h)))
     om = np.maximum(om, floor)
     theta = cumulative_integral(om, h)

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .signal import (Decomposition, PhasePair, SampledSignal,
-                     cumulative_integral)
+from .signal import (Decomposition, PhasePair, SampledSignal, cumulative_integral,
+                     extend_span, moving_average)
 from .wavelet import BSplineWavelet, Scalogram, cwt, default_scales
 
 __all__ = [
@@ -264,18 +264,6 @@ def _merge_fragments(raw: list[dict], span: float) -> list[dict]:
     return out
 
 
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    window = max(1, min(window, 2 * (x.size // 2) - 1))
-    if window % 2 == 0:
-        window += 1
-    if window <= 1:
-        return x.copy()
-    half = window // 2
-    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(padded, kernel, mode="valid")
-
-
 #: Never amplify deconvolved envelope content by more than 1/this factor
 #: (strong attenuation cannot be undone without also amplifying noise).
 ENVELOPE_GAIN_FLOOR = 0.5
@@ -290,20 +278,12 @@ def _deconvolve_envelope(amp: np.ndarray, mean_freq: float, w: BSplineWavelet,
     response H(nu) = (psi_hat(1+nu/f) + psi_hat(1-nu/f))/2.  Dividing the
     envelope spectrum by H (gain-limited) restores it.
     """
-    if extension == "mirror":
-        base = np.concatenate([amp, amp[-2:0:-1]])
-        span_cycles = 2.0 * mean_freq
-    else:
-        base = amp[:-1]
-        span_cycles = mean_freq
-    A = np.fft.rfft(base)
-    nu = np.arange(A.size) / span_cycles  # relative frequency offset nu/f
+    ext = extend_span(amp, extension)
+    A = np.fft.rfft(ext.base)
+    nu = np.arange(A.size) / (ext.spans * mean_freq)  # relative frequency offset nu/f
     H = 0.5 * (w.freq_response(1.0 + nu) + w.freq_response(1.0 - nu))
     A /= np.maximum(H, ENVELOPE_GAIN_FLOOR)
-    out = np.fft.irfft(A, base.size)
-    if extension == "mirror":
-        return out[: amp.size]
-    return np.concatenate([out, out[:1]])
+    return ext.restrict(np.fft.irfft(A, ext.base.size))
 
 
 def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
@@ -324,11 +304,11 @@ def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
     theta_p_r = 1.0 / curve.omega
     theta_p = np.interp(times, curve.times, theta_p_r)
     window = int(round(2.0 * np.pi / float(np.mean(theta_p)) / h))
-    theta_p = _moving_average(theta_p, window)
+    theta_p = moving_average(theta_p, window)
     theta = cumulative_integral(theta_p, h)
     drift = curve.phase - np.interp(curve.times, times, theta)
     window_c = max(1, int(round(window * curve.n / f.n)))
-    correction = np.interp(times, curve.times, _moving_average(drift, window_c))
+    correction = np.interp(times, curve.times, moving_average(drift, window_c))
     candidate = theta + correction
     if np.all(np.diff(candidate) > 0):
         theta = candidate

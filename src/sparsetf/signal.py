@@ -3,7 +3,8 @@
 Everything downstream works with real-valued samples on a uniform grid
 ``t_i = t0 + i*(t1-t0)/(N-1)``.  Integrals are composite trapezoidal
 quadrature, derivatives are second-order finite differences, and phases are
-stored unwrapped (monotone), never modulo 2*pi.
+stored unwrapped (monotone), never modulo 2*pi.  ``extend_span`` is the one
+place that decides how a span is extended to a period for spectral work.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ __all__ = [
     "differentiate",
     "cumulative_integral",
     "inner_product",
-    "l2_norm",
     "reconstruct",
 ]
 
 #: Relative tolerance for deciding that two signals share a grid.
 GRID_RTOL = 1e-9
+
+#: Ways to extend a finite span to a periodic sequence (see ``extend_span``).
+EXTENSIONS = ("periodic", "mirror")
 
 
 def _as_readonly_f64(x) -> np.ndarray:
@@ -243,10 +246,6 @@ def inner_product(x: SampledSignal, y: SampledSignal) -> float:
     return float(np.trapezoid(x.values * y.values, dx=x.dt))
 
 
-def l2_norm(x: SampledSignal) -> float:
-    return x.norm()
-
-
 def reconstruct(pairs: Sequence[PhasePair]) -> SampledSignal:
     """Pointwise sum of a_k(t)*cos(theta_k(t)) over a shared grid."""
     if not pairs:
@@ -258,3 +257,47 @@ def reconstruct(pairs: Sequence[PhasePair]) -> SampledSignal:
             raise InvalidInputError("all pairs must share one grid")
         total += p.a * np.cos(p.theta)
     return SampledSignal(first.t0, first.t1, total)
+
+
+@dataclass(frozen=True)
+class SpanExtension:
+    """One period of the periodic or mirror extension of a sampled span.
+
+    ``base`` is one period of the extended samples; it covers ``spans``
+    spans, so DFT bin k of ``base`` is ``k/spans`` cycles per span.
+    ``index[i]`` is the position in ``base`` of the span's sample i.
+    """
+
+    base: np.ndarray
+    spans: int
+    index: np.ndarray
+
+    def restrict(self, y: np.ndarray) -> np.ndarray:
+        """The span's n samples of a period-long result."""
+        return y[self.index]
+
+
+def extend_span(values, mode: str) -> SpanExtension:
+    """Extend n samples (both endpoints included) to one period.
+
+    periodic: the t1 sample is dropped and repeats t0, period N-1.
+    mirror:   even reflection about both endpoints, period 2(N-1).
+    """
+    n = len(values)
+    if mode == "periodic":
+        return SpanExtension(values[:-1], 1, np.r_[0 : n - 1, 0])
+    if mode == "mirror":
+        return SpanExtension(np.concatenate([values, values[-2:0:-1]]), 2, np.arange(n))
+    raise InvalidInputError(f"unknown extension mode {mode!r}; expected one of {EXTENSIONS}")
+
+
+def moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average over an odd window, evenly reflected at both ends."""
+    window = max(1, min(window, 2 * (x.size // 2) - 1))
+    if window % 2 == 0:
+        window += 1
+    if window <= 1:
+        return x.copy()
+    half = window // 2
+    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
+    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")

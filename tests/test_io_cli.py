@@ -132,6 +132,11 @@ class TestCli:
         assert manifest["command"] == "synth"
         assert manifest["tool_version"]
 
+    def test_synth_zero_d_exits_one(self, tmp_path):
+        # d=0 must reach the generator's d > 1 check, not fall back to 2.0
+        assert run_cli("synth", "--example", "random", "--out", tmp_path / "out",
+                       "--m", 2, "--d", 0, "--n", 4096) == 1
+
     def test_synth_crossing_writes_both_truths(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("synth", "--example", "crossing", "--out", out, "--k", 16) == 0
@@ -257,4 +262,9 @@ class TestCli:
     def test_unknown_config_key_exits_one(self, tmp_path, two_tone_csv):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"wat": 1}))
+        assert run_cli("decompose", two_tone_csv, cfgp, "--out", tmp_path / "o") == 1
+
+    def test_misspelt_extension_in_config_exits_one(self, tmp_path, two_tone_csv):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"extension": "mirorr"}))
         assert run_cli("decompose", two_tone_csv, cfgp, "--out", tmp_path / "o") == 1

@@ -162,6 +162,12 @@ class TestStitching:
 
 
 class TestMatchingPursuit:
+    def test_unknown_extension_is_rejected(self):
+        # a misspelt extension used to reach cwt inside the ridge seeding,
+        # whose error was swallowed into an empty, no-progress decomposition
+        with pytest.raises(InvalidInputError):
+            default_cfg(extension="mirorr")
+
     def test_two_tone_decomposition(self):
         n = 4096
         t = np.linspace(0, 1, n)

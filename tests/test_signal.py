@@ -9,6 +9,8 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, PhaseP
                       gen_crossing_example, gen_mode_mixing_example, inner_product,
                       reconstruct)
 
+from sparsetf.signal import extend_span
+
 from conftest import tone, tone_pair
 
 
@@ -155,3 +157,21 @@ class TestTypes:
         d = Decomposition((p1, p2), resid)
         expected = reconstruct([p1, p2]).values + resid.values
         assert_allclose(d.signal().values, expected, rtol=0, atol=1e-14)
+
+
+class TestExtendSpan:
+    def test_periodic_drops_the_repeated_endpoint(self):
+        ext = extend_span(np.array([1.0, 2.0, 3.0, 1.0]), "periodic")
+        assert_allclose(ext.base, [1.0, 2.0, 3.0])
+        assert ext.spans == 1
+        assert_allclose(ext.restrict(np.array([4.0, 5.0, 6.0])), [4.0, 5.0, 6.0, 4.0])
+
+    def test_mirror_reflects_about_both_endpoints(self):
+        ext = extend_span(np.array([1.0, 2.0, 3.0, 4.0]), "mirror")
+        assert_allclose(ext.base, [1.0, 2.0, 3.0, 4.0, 3.0, 2.0])
+        assert ext.spans == 2
+        assert_allclose(ext.restrict(ext.base), [1.0, 2.0, 3.0, 4.0])
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(InvalidInputError):
+            extend_span(np.zeros(8), "mirorr")

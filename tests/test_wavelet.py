@@ -54,6 +54,11 @@ class TestFrequencyResponse:
         with pytest.raises(InvalidInputError):
             make_wavelet(delta)
 
+    def test_zero_outside_support(self):
+        assert bspline5(1e5) == 0.0
+        assert bspline5(-3.0) == 0.0
+        assert make_wavelet(0.15).freq_response(100.0) == 0.0
+
 
 class TestTimeDomain:
     def test_value_at_zero_matches_quadrature_of_response(self):
@@ -158,14 +163,30 @@ class TestTransform:
         sep = cwt(f1, w, scales).coeffs + cwt(f2, w, scales).coeffs
         assert_allclose(both.coeffs, sep, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("extension", ["periodic", "mirror"])
-    def test_fft_path_matches_direct_quadrature(self, extension):
-        n = 1024
-        t = np.linspace(0, 1, n)
-        f = SampledSignal(0, 1, np.cos(2 * np.pi * 40 * t) + 0.5 * np.cos(2 * np.pi * 13 * t + 0.4))
+    @pytest.mark.parametrize("extension,aliased", [
+        pytest.param("periodic", False, id="periodic"),
+        pytest.param("mirror", False, id="mirror"),
+        pytest.param("periodic", True, id="periodic-aliased"),
+        pytest.param("mirror", True, id="mirror-aliased"),
+    ])
+    def test_fft_path_matches_direct_quadrature(self, extension, aliased):
         w = make_wavelet(0.25)
-        scales = default_scales(f, w, voices=6)
-        fast = cwt(f, w, scales, extension=extension)
+        if aliased:
+            # the two smallest scales put the wavelet band above the Nyquist
+            # frequency, so several aliases l of the periodised response
+            # overlap; the 150 Hz tone falls in the 0.6*dt band and, aliased,
+            # in the 0.25*dt one
+            t = np.linspace(0, 1, 512)
+            f = SampledSignal(0, 1, np.cos(2 * np.pi * 40 * t) + np.cos(2 * np.pi * 150 * t + 0.3))
+            scales = np.array([0.25 * f.dt, 0.6 * f.dt, 0.004])
+            with pytest.warns(RuntimeWarning):
+                fast = cwt(f, w, scales, extension=extension)
+            assert np.all(np.max(np.abs(fast.coeffs), axis=0) > 1e-3)  # every scale sees signal
+        else:
+            t = np.linspace(0, 1, 1024)
+            f = SampledSignal(0, 1, np.cos(2 * np.pi * 40 * t) + 0.5 * np.cos(2 * np.pi * 13 * t + 0.4))
+            scales = default_scales(f, w, voices=6)
+            fast = cwt(f, w, scales, extension=extension)
         slow = cwt_direct(f, w, scales, extension=extension)
         rel = np.max(np.abs(fast.coeffs - slow.coeffs)) / np.max(np.abs(slow.coeffs))
         assert rel < 1e-8
@@ -196,17 +217,6 @@ class TestTransform:
         f = SampledSignal(0.0, 1.0, np.zeros(256))
         with pytest.raises(InvalidInputError):
             default_scales(f, make_wavelet(0.2))
-
-    def test_threaded_evaluation_is_deterministic(self, monkeypatch):
-        f = tone(48.0, 1024)
-        w = make_wavelet(0.2)
-        scales = default_scales(f, w, voices=8)
-        seq = cwt(f, w, scales, threads=1)
-        par = cwt(f, w, scales, threads=4)
-        np.testing.assert_array_equal(seq.coeffs, par.coeffs)
-        monkeypatch.setenv("SPARSETF_THREADS", "3")
-        env = cwt(f, w, scales)
-        np.testing.assert_array_equal(seq.coeffs, env.coeffs)
 
 
 class TestConcentration:
