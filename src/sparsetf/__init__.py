@@ -13,7 +13,7 @@ from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
                      cumulative_integral, differentiate, inner_product, reconstruct)
 from .wavelet import (BSplineWavelet, Scalogram, WaveletMoments, bspline5,
                       concentration_error, cwt, cwt_direct, default_scales,
-                      evaluate_time_domain, make_wavelet, moments)
+                      make_wavelet, moments)
 from .separation import (CrossTermResult, NormEquivalenceResult, OscillationBoundResult,
                          PairwiseSeparation, SeparationReport, check_scale_separation,
                          check_well_separated, coherence, verify_cross_term_bound,
@@ -42,7 +42,6 @@ __all__ = [
     "WaveletMoments",
     "bspline5",
     "make_wavelet",
-    "evaluate_time_domain",
     "moments",
     "cwt",
     "cwt_direct",

@@ -165,17 +165,7 @@ def ridge_curves_to_dict(curves) -> dict:
 
 
 def ground_truth_to_dict(g: GroundTruth) -> dict:
-    return {
-        "grid": {"t0": g.residual.t0, "t1": g.residual.t1, "n": g.residual.n},
-        "components": [{"a": p.a.tolist(), "theta": p.theta.tolist()} for p in g.pairs],
-        "residual": g.residual.values.tolist(),
-        "params": {
-            "epsilon": g.params.epsilon,
-            "d": g.params.d,
-            "m_prime": g.params.m_prime,
-            "epsilon0": g.params.epsilon0,
-        },
-    }
+    return {**decomposition_to_dict(Decomposition(g.pairs, g.residual)), "params": asdict(g.params)}
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     ``max_components`` is reached, or with the ``no_progress`` flag set when
     no ridge rises above the floor or the solver fails to reduce the
     residual.  Components are returned ordered by increasing mean frequency,
-    with one separation report each and the extraction order recorded.
+    with the extraction order recorded.
     """
     residual = f
     extracted: list[PhasePair] = []
@@ -392,12 +392,9 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
 
     order = sorted(range(len(extracted)),
                    key=lambda i: float(np.mean(extracted[i].theta_prime())))
-    components = [extracted[i] for i in order]
-    reports = [check_scale_separation(p, cfg.params.epsilon) for p in components]
     return Decomposition(
-        components=tuple(components),
+        components=tuple(extracted[i] for i in order),
         residual=residual,
-        diagnostics=tuple(reports),
         extraction_order=tuple(order),
         no_progress=no_progress,
     )

@@ -112,25 +112,31 @@ def _refined_peaks(mags: np.ndarray, coeffs: np.ndarray, scales: np.ndarray,
     return ti, omega, mag, phase
 
 
-def extract_ridges(s: Scalogram, floor: float) -> list[RidgeCurve]:
+def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]:
     """Link per-time magnitude maxima above ``floor * max`` into curves.
 
     Peak detection runs on the normalized magnitude ``|W|/sqrt(omega)``,
     whose maximum sits exactly on the ridge ``omega * theta' = 1`` (the raw
-    magnitude peak is biased by the sqrt(omega) prefactor).  Maxima are
-    refined to sub-grid scale by log-parabolic interpolation and linked to
-    the nearest active curve in log-scale, capped at one octave per 1% of
-    the span per step (slowly varying frequencies cannot move faster).
-    Curves covering less than 5% of the span are dropped.
+    magnitude peak is biased by the sqrt(omega) prefactor).  ``floor``
+    defaults to 3x the median normalized magnitude over its maximum (a
+    robust noise floor), clipped to [1e-6, 0.5].  Maxima are refined to
+    sub-grid scale by log-parabolic interpolation.  Each curve is a chain of
+    indices into that peak table: the peaks of consecutive times are matched
+    greedily, cheapest log-scale jump first, capped at one octave per 1% of
+    the span per step (slowly varying frequencies cannot move faster), as in
+    the ridge chaining of Carmona, Hwang & Torresani (1997).  Curves covering
+    less than 5% of the span are dropped.
     """
-    if s.times.size == 0 or s.scales.size < 3:
-        raise InvalidInputError("scalogram is empty or has too few scales")
-    if not floor > 0:
+    if s.scales.size < 3:
+        raise InvalidInputError("scalogram has too few scales")
+    if floor is not None and not floor > 0:
         raise InvalidInputError("floor must be positive")
     mags = s.magnitude() / np.sqrt(s.scales)[None, :]
     gmax = float(np.max(mags))
     if gmax == 0.0:
         return []
+    if floor is None:
+        floor = min(max(3.0 * float(np.median(mags)) / gmax, 1e-6), 0.5)
     threshold = floor * gmax
     nt = s.times.size
     dt = s.times[1] - s.times[0]
@@ -139,57 +145,42 @@ def extract_ridges(s: Scalogram, floor: float) -> list[RidgeCurve]:
     grid_step = float(np.max(np.log(s.scales[1:] / s.scales[:-1])))
     cap = max(step_cap, 1.5 * grid_step)
 
-    ti_all, om_all, mag_all, ph_all = _refined_peaks(mags, s.coeffs, s.scales, threshold)
-    mag_all = mag_all * np.sqrt(om_all)  # back to raw |W| along the curve
-    starts = np.searchsorted(ti_all, np.arange(nt + 1))
+    ti, om, mag, ph = _refined_peaks(mags, s.coeffs, s.scales, threshold)
+    mag = mag * np.sqrt(om)  # back to raw |W| along the curve
+    t = s.times[ti]
+    starts = np.searchsorted(ti, np.arange(nt + 1)).tolist()
 
-    active: list[dict] = []
-    closed: list[dict] = []
-    for i in range(nt):
-        lo_i, hi_i = starts[i], starts[i + 1]
-        found = list(zip(om_all[lo_i:hi_i], mag_all[lo_i:hi_i], ph_all[lo_i:hi_i]))
-        # unique nearest-log-scale assignment between active curves and new peaks
-        cands = []
-        for ci, c in enumerate(active):
-            for pi, (om, _, _) in enumerate(found):
-                cost = abs(np.log(om / c["omega"][-1]))
-                if cost <= cap:
-                    cands.append((cost, ci, pi))
-        cands.sort(key=lambda x: x[0])
-        used_c, used_p = set(), set()
-        matches = {}
-        for cost, ci, pi in cands:
-            if ci in used_c or pi in used_p:
-                continue
-            used_c.add(ci)
-            used_p.add(pi)
-            matches[ci] = pi
-        nxt = []
-        for ci, c in enumerate(active):
-            if ci in matches:
-                om, mag, ph = found[matches[ci]]
-                c["t"].append(s.times[i])
-                c["omega"].append(om)
-                c["mag"].append(mag)
-                c["ph"].append(ph)
-                nxt.append(c)
-            else:
-                closed.append(c)
-        for pi, (om, mag, ph) in enumerate(found):
-            if pi not in used_p:
-                nxt.append({"t": [s.times[i]], "omega": [om], "mag": [mag], "ph": [ph]})
-        active = nxt
-    closed.extend(active)
-    closed = _merge_fragments(closed, span)
+    # The curves alive at step i end exactly at the peaks of step i-1, so
+    # linking is one greedy matching per step: nxt[q] = p continues the
+    # curve through peak q at peak p.
+    nxt = [-1] * ti.size
+    linked = [False] * ti.size
+    for i in range(1, nt):
+        q0, p0, p1 = starts[i - 1], starts[i], starts[i + 1]
+        cost = np.abs(np.log(om[p0:p1] / om[q0:p0, None])).ravel()
+        order = cost.argsort(kind="stable")
+        for k in order[: np.count_nonzero(cost <= cap)].tolist():
+            q, p = q0 + k // (p1 - p0), p0 + k % (p1 - p0)
+            if nxt[q] < 0 and not linked[p]:
+                nxt[q] = p
+                linked[p] = True
+    chains = []
+    for head in range(ti.size):
+        if not linked[head]:
+            chain = [head]
+            while nxt[chain[-1]] >= 0:
+                chain.append(nxt[chain[-1]])
+            chains.append(chain)
+    # merge in order of start, then of end (the order in which curves
+    # close), then of first peak
+    chains.sort(key=lambda c: (ti[c[0]], ti[c[-1]], c[0]))
+    chains = _merge_fragments(chains, t, om, MERGE_GAP_FRACTION * span)
 
     curves = []
     min_len = max(2, int(np.ceil(MIN_CURVE_FRACTION * nt)))
-    for c in closed:
-        if len(c["t"]) < min_len:
-            continue
-        phase = _unwrap_along(np.asarray(c["ph"]), np.asarray(c["t"]), np.asarray(c["omega"]))
-        curves.append(RidgeCurve(np.asarray(c["t"]), np.asarray(c["omega"]),
-                                 np.asarray(c["mag"]), phase))
+    for c in chains:
+        if len(c) >= min_len:
+            curves.append(RidgeCurve(t[c], om[c], mag[c], _unwrap_along(ph[c], t[c], om[c])))
     curves.sort(key=lambda c: float(np.mean(c.omega)), reverse=True)  # low frequency first
     return curves
 
@@ -240,26 +231,24 @@ def ridges_ambiguous(curves: list[RidgeCurve], delta: float, span: tuple[float, 
     return False
 
 
-def _merge_fragments(raw: list[dict], span: float) -> list[dict]:
-    """Rejoin curve fragments separated by a short gap and a small frequency jump."""
-    max_gap = MERGE_GAP_FRACTION * span
-    out: list[dict] = []
-    for c in sorted(raw, key=lambda c: c["t"][0]):
-        merged = False
+def _merge_fragments(chains: list[list], t: np.ndarray, omega: np.ndarray,
+                     max_gap: float) -> list[list]:
+    """Rejoin chains of peak indices, taken in order of start, that are
+    separated by a short gap and a small frequency jump."""
+    out: list[list] = []
+    for c in chains:
         for o in out:
-            gap = c["t"][0] - o["t"][-1]
+            gap = t[c[0]] - t[o[-1]]
             if -max_gap <= gap <= max_gap:
                 keep = 0
-                if gap < 0:  # drop the head of c that overlaps o
-                    keep = int(np.searchsorted(np.asarray(c["t"]), o["t"][-1], side="right"))
-                    if keep >= len(c["t"]):
+                if gap <= 0:  # drop the head of c up to and including o's last time
+                    keep = int(np.searchsorted(t[c], t[o[-1]], side="right"))
+                    if keep >= len(c):
                         continue
-                if abs(np.log(c["omega"][keep] / o["omega"][-1])) <= MERGE_LOG_CAP:
-                    for key in ("t", "omega", "mag", "ph"):
-                        o[key].extend(c[key][keep:])
-                    merged = True
+                if abs(np.log(omega[c[keep]] / omega[o[-1]])) <= MERGE_LOG_CAP:
+                    o.extend(c[keep:])
                     break
-        if not merged:
+        else:
             out.append(c)
     return out
 
@@ -329,24 +318,15 @@ def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None 
                        extension: str = "periodic") -> list[PhasePair]:
     """Recover (envelope, phase) pairs from the transform ridges of a signal.
 
-    ``floor`` is the magnitude threshold relative to the transform peak; the
-    default is 3x the median magnitude (a robust noise floor).  Returns pairs
-    ordered by increasing mean frequency; an empty list if nothing rises
-    above the floor.
+    ``floor`` is the magnitude threshold relative to the transform peak, by
+    default that of ``extract_ridges``.  Returns pairs ordered by increasing
+    mean frequency; an empty list if nothing rises above the floor.
     """
     if not np.any(f.values != 0):
         return []
     if scales is None:
         scales = default_scales(f, w, voices=voices)
-    s = cwt(f, w, scales, extension=extension)
-    mags = s.magnitude() / np.sqrt(s.scales)[None, :]
-    gmax = float(np.max(mags))
-    if gmax == 0.0:
-        return []
-    if floor is None:
-        floor = 3.0 * float(np.median(mags)) / gmax
-        floor = min(max(floor, 1e-6), 0.5)
-    curves = extract_ridges(s, floor)
+    curves = extract_ridges(cwt(f, w, scales, extension=extension), floor)
     pairs = [_pair_from_curve(f, c, w, extension) for c in curves]
     pairs.sort(key=lambda p: float(np.mean(p.theta_prime())))
     return pairs

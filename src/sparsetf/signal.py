@@ -185,20 +185,17 @@ class Decomposition:
 
     Components are ordered by increasing mean instantaneous frequency.
     ``reconstruct(components) + residual`` equals the decomposed signal to
-    grid round-off.  ``diagnostics`` carries one separation report per
-    component (same order); ``extraction_order[i]`` is the position of
-    component ``i`` in the greedy extraction sequence.
+    grid round-off.  ``extraction_order[i]`` is the position of component
+    ``i`` in the greedy extraction sequence.
     """
 
     components: tuple
     residual: SampledSignal
-    diagnostics: tuple = ()
     extraction_order: tuple = ()
     no_progress: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         object.__setattr__(self, "extraction_order", tuple(self.extraction_order))
         for c in self.components:
             if not c.same_grid(self.residual):

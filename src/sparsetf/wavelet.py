@@ -35,7 +35,6 @@ __all__ = [
     "WaveletMoments",
     "bspline5",
     "make_wavelet",
-    "evaluate_time_domain",
     "moments",
     "cwt",
     "cwt_direct",
@@ -127,11 +126,6 @@ class BSplineWavelet:
 def make_wavelet(delta: float) -> BSplineWavelet:
     """Construct the wavelet for half-bandwidth delta in (0, 1)."""
     return BSplineWavelet(float(delta))
-
-
-def evaluate_time_domain(w: BSplineWavelet, tau) -> np.ndarray:
-    """psi(tau) for an array of (finite) time offsets."""
-    return w.time_domain(tau)
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,11 @@ class Scalogram:
     (exact for ``cwt``, truncated at ``TAIL_REL`` for ``cwt_direct``).  The
     ridge of a mode with frequency theta' sits near ``omega = 1/theta'``.
     ``unresolved_scales`` lists scales whose oscillation is sampled by fewer
-    than 8 points per cycle on this grid.
+    than 8 points per cycle on this grid.  ``times`` must hold at least two
+    strictly increasing samples.
+
+    The scalogram takes ownership of ``coeffs``: a complex array is stored
+    without a copy and made read-only in place.
     """
 
     times: np.ndarray
@@ -245,17 +243,19 @@ class Scalogram:
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
         s = np.array(self.scales, dtype=float)
-        c = np.array(self.coeffs, dtype=complex)
+        c = np.asarray(self.coeffs, dtype=complex)
         for arr in (t, s, c):
             arr.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "scales", s)
         object.__setattr__(self, "coeffs", c)
+        if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
+            raise InvalidInputError("times must be at least 2 strictly increasing samples")
         if np.any(s <= 0) or np.any(np.diff(s) <= 0):
             raise InvalidInputError("scales must be positive and strictly increasing")
         if c.shape != (t.size, s.size):
             raise InvalidInputError("coeffs must have shape (n_times, n_scales)")
-        if not np.all(np.isfinite(c.view(float))):
+        if not np.all(np.isfinite(c)):
             raise InvalidInputError("coefficients must be finite")
 
     def magnitude(self) -> np.ndarray:
@@ -266,9 +266,7 @@ def _kernel_samples(w: BSplineWavelet, omega: float, h: float):
     """psi(q*h/omega) on the truncated integer offset grid q in [-Q, Q]."""
     Q = int(np.ceil(w.tail_cutoff() * omega / h))
     qs = np.arange(-Q, Q + 1)
-    tau = qs * (h / omega)
-    vals = w.peak_amplitude * np.exp(1j * tau) * _sinc(w.delta * tau / 5.0) ** 5
-    return qs, vals
+    return qs, w.time_domain(qs * (h / omega))
 
 
 def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int) -> np.ndarray:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsetf import (Decomposition, InvalidInputError, SampledSignal,
+from sparsetf import (Decomposition, InvalidInputError, SampledSignal, Scalogram,
                       compare_decompositions, cwt, default_scales, extract_ridges,
                       gen_crossing_example, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
+from sparsetf.ridge import MERGE_GAP_FRACTION, MIN_CURVE_FRACTION
 
 from conftest import tone, tone_pair
 
@@ -51,6 +52,108 @@ class TestExtract:
         s = cwt(f, w, default_scales(f, w, voices=8))
         with pytest.raises(InvalidInputError):
             extract_ridges(s, floor=0.0)
+
+
+def tracks_scalogram(nt: int, tracks, n_scales: int = 32):
+    """Scalogram whose normalized magnitude |W|/sqrt(omega) is a unit tent of
+    half-width two scale steps centred on ``track[i]`` (a scale index, or -1
+    for no peak) at time i, so every peak sits exactly on its grid scale."""
+    scales = 0.01 * 2.0 ** (np.arange(n_scales) / 8)
+    j = np.arange(n_scales)
+    mags = np.zeros((nt, n_scales))
+    for track in tracks:
+        for i, c in enumerate(track):
+            if c >= 0:
+                mags[i] += np.maximum(0.0, 1.0 - np.abs(j - c) / 2.0)
+    phase = np.exp(1j * 0.3 * np.arange(nt))[:, None]
+    coeffs = mags * np.sqrt(scales) * phase
+    return Scalogram(np.linspace(0.0, 1.0, nt), scales, coeffs, make_wavelet(0.2))
+
+
+class TestLink:
+    @pytest.mark.parametrize("dropout, n_curves", [(10, 1), (30, 2)])
+    def test_short_dropout_is_merged(self, dropout, n_curves):
+        nt = 1001  # dt = 0.001 of a unit span
+        track = np.full(nt, 20)
+        track[400 : 400 + dropout] = -1
+        s = tracks_scalogram(nt, [track])
+        # the gap between the fragments is dropout + 1 steps
+        assert ((dropout + 1) * 0.001 <= MERGE_GAP_FRACTION) == (n_curves == 1)
+        curves = extract_ridges(s, floor=0.5)
+        assert len(curves) == n_curves
+        assert sum(c.n for c in curves) == nt - dropout
+        for c in curves:
+            assert np.all(np.diff(c.times) > 0)
+            assert_allclose(c.omega, s.scales[20], rtol=1e-12)
+
+    @pytest.mark.parametrize("joint, winner", [(14, "upper"), (12, "lower")])
+    def test_cheaper_link_wins_the_shared_peak(self, joint, winner):
+        # two tracks at scale indices 10 and 16 meet one peak at step 50; the
+        # per-step cap (an octave, 8 grid steps) admits both links
+        nt = 101
+        lower = [10] * 50 + [-1] * 51
+        upper = [16] * 50 + [joint] * 51
+        s = tracks_scalogram(nt, [lower, upper])
+        curves = extract_ridges(s, floor=0.5)
+        assert len(curves) == 2
+        long, short = sorted(curves, key=lambda c: c.n, reverse=True)
+        assert long.n == nt and short.n == 50
+        assert_allclose(short.times, s.times[:50])
+        start = 16 if winner == "upper" else 10
+        lost = 10 if winner == "upper" else 16
+        assert_allclose(long.omega[:50], s.scales[start], rtol=1e-12)
+        assert_allclose(long.omega[50:], s.scales[joint], rtol=1e-12)
+        assert_allclose(short.omega, s.scales[lost], rtol=1e-12)
+
+    def test_fragment_starting_where_another_ends_merges_without_a_repeated_time(self):
+        # one track ends at step 49, where a second one, 3/8 octave up,
+        # starts: the merge drops the second track's first peak
+        nt = 101
+        lower = [10] * 50 + [-1] * 51
+        upper = [-1] * 49 + [13] * 52
+        s = tracks_scalogram(nt, [lower, upper])
+        curves = extract_ridges(s, floor=0.5)
+        assert len(curves) == 1
+        c = curves[0]
+        assert_allclose(c.times, s.times)
+        assert_allclose(c.omega, s.scales[[10] * 50 + [13] * 51], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [60_000, 60_001])
+    @pytest.mark.parametrize("noise, floor, min_curves", [(0.0, 0.12, 0), (1.0, 0.05, 10)],
+                             ids=["clean", "noisy"])
+    def test_curve_invariants_on_family_scalograms(self, seed, noise, floor, min_curves):
+        # the noisy case at a low floor yields many short, competing chains
+        m = 2 + seed % 2
+        f, _ = gen_random_well_separated(m, 2.0, 0.05, seed, 8192 if m == 2 else 16384,
+                                         base_freq=64)
+        g = SampledSignal(f.t0, f.t1,
+                          f.values + noise * np.random.default_rng(seed).standard_normal(f.n))
+        w = make_wavelet(0.15)
+        s = cwt(g, w, default_scales(f, w, voices=16))
+        curves = extract_ridges(s, floor=floor)
+        assert len(curves) >= max(m, min_curves)
+        min_len = np.ceil(MIN_CURVE_FRACTION * s.times.size)
+        peaks = set()
+        for c in curves:
+            assert c.n >= min_len
+            assert np.all(np.diff(c.times) > 0)
+            assert np.all(np.isin(c.times, s.times))
+            points = set(zip(c.times.tolist(), c.omega.tolist()))
+            assert len(points) == c.n and not points & peaks  # no peak in two curves
+            peaks |= points
+        means = [float(np.mean(c.omega)) for c in curves]
+        assert means == sorted(means, reverse=True)
+
+    def test_default_floor_is_three_medians(self):
+        f, _ = gen_random_well_separated(2, 2.0, 0.05, 60_000, 8192, base_freq=64)
+        w = make_wavelet(0.15)
+        s = cwt(f, w, default_scales(f, w, voices=16))
+        mags = s.magnitude() / np.sqrt(s.scales)
+        floor = min(max(3.0 * float(np.median(mags)) / float(np.max(mags)), 1e-6), 0.5)
+        got, want = extract_ridges(s), extract_ridges(s, floor)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.phase, b.phase)
 
 
 class TestRecover:

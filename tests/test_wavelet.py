@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsetf import (InvalidInputError, SampledSignal, bspline5,
+from sparsetf import (InvalidInputError, SampledSignal, Scalogram, bspline5,
                       concentration_error, cwt, cwt_direct, default_scales,
-                      evaluate_time_domain, gen_random_well_separated, make_wavelet,
-                      moments)
+                      gen_random_well_separated, make_wavelet, moments)
 
 from conftest import tone
 
@@ -66,7 +67,7 @@ class TestTimeDomain:
             w = make_wavelet(delta)
             xi = np.linspace(1 - delta, 1 + delta, 200001)
             quad = np.trapezoid(w.freq_response(xi), xi) / (2 * np.pi)
-            got = evaluate_time_domain(w, np.array([0.0]))[0]
+            got = w.time_domain(np.array([0.0]))[0]
             assert got.imag == pytest.approx(0.0, abs=1e-15)
             assert got.real == pytest.approx(quad, abs=1e-8)
 
@@ -217,6 +218,37 @@ class TestTransform:
         f = SampledSignal(0.0, 1.0, np.zeros(256))
         with pytest.raises(InvalidInputError):
             default_scales(f, make_wavelet(0.2))
+
+
+class TestScalogram:
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.0], [1.0, 0.0], [[0.0, 1.0]]],
+                             ids=["one-sample", "repeated", "decreasing", "2-d"])
+    def test_invalid_time_axis_raises(self, times):
+        times = np.asarray(times)
+        n = times.shape[-1]
+        with pytest.raises(InvalidInputError):
+            Scalogram(times, np.array([0.1, 0.2, 0.3]), np.ones((n, 3), complex), make_wavelet(0.2))
+
+    def test_takes_ownership_of_coeffs(self):
+        coeffs = np.ones((4, 3), complex)
+        s = Scalogram(np.arange(4.0), np.array([0.1, 0.2, 0.3]), coeffs, make_wavelet(0.2))
+        assert s.coeffs is coeffs
+        assert not coeffs.flags.writeable
+
+    def test_cwt_holds_one_scalogram(self):
+        # 2-mode n=8192 signal at 16 voices (36 scales): a copy of the
+        # coefficients would double the transform's peak memory
+        f, _ = gen_random_well_separated(2, 2.0, 0.05, 1, 8192, base_freq=64)
+        w = make_wavelet(0.15)
+        scales = default_scales(f, w, voices=16)
+        cwt(f, w, scales)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            s = cwt(f, w, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * s.coeffs.nbytes
 
 
 class TestConcentration:
