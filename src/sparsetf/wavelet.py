@@ -162,7 +162,7 @@ def _moment_integrands(w: BSplineWavelet, tau: np.ndarray):
 
 @lru_cache(maxsize=64)
 def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
-    """Absolute moments by adaptive quadrature with verified tail truncation.
+    """Absolute moments by lobe-wise Gauss-Legendre quadrature with verified tail truncation.
 
     The moments are those of psi as implemented (psi_hat(1) = 1, so
     psi(0) = delta/(5*pi*B5(5/2))), which are the ones the bound of
@@ -171,43 +171,41 @@ def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
     normalised to psi(0) = 1.
 
     The integrands are even, carrier-free envelopes, so integration runs on
-    [0, T].  The grid is refined and the domain doubled until both changes
-    fall below ``rtol`` relative; otherwise a numerical-failure error reports
-    the tolerance actually achieved.
+    [0, T].  Each sinc lobe ``[k*pi/c, (k+1)*pi/c]``, c = delta/5, gets its
+    own Gauss-Legendre rule: the integrands are smooth inside a lobe and
+    only kink where sinc vanishes.  The nodes per lobe are doubled, then the
+    number of lobes, until each change falls below ``rtol/2`` relative;
+    otherwise a numerical-failure error reports the tolerance actually
+    achieved.
     """
     c = w.delta / 5.0
-    T = 800.0 / c  # sized so the |tau|^-5 envelope tail is < rtol for i3
-    pts_per_lobe = 64  # sinc lobes have width pi/c
-    n = int(T / (np.pi / c) * pts_per_lobe) + 1
+    width = np.pi / c
+    lobes = 256  # T = 256*pi/c ~ 800/c, so the |tau|^-5 envelope tail is < rtol for i3
+    nodes = 8
 
-    def compute(T, n):
-        tau = np.linspace(0.0, T, n)
-        f1, f2, f3 = _moment_integrands(w, tau)
-        dx = T / (n - 1)
-        return np.array([
-            2.0 * np.trapezoid(f1, dx=dx),
-            2.0 * np.trapezoid(f2, dx=dx),
-            2.0 * np.trapezoid(f3, dx=dx),
-        ])
+    def compute(k0, k1, nodes):
+        x, wt = np.polynomial.legendre.leggauss(nodes)
+        tau = (np.arange(k0, k1)[:, None] + 0.5 * (x + 1.0)) * width
+        return np.array([np.sum(f @ wt) * width for f in _moment_integrands(w, tau)])
 
     def reldiff(a, b):
         return float(np.max(np.abs(a - b) / np.abs(b)))
 
-    vals = compute(T, n)
+    vals = compute(0, lobes, nodes)
     step_err = np.inf
-    for _ in range(6):  # halve the step until stable
-        finer = compute(T, 2 * n - 1)
+    for _ in range(6):  # double the nodes per lobe until stable
+        finer = compute(0, lobes, 2 * nodes)
         step_err = reldiff(vals, finer)
-        vals, n = finer, 2 * n - 1
+        vals, nodes = finer, 2 * nodes
         if step_err < 0.5 * rtol:
             break
     else:
         raise NumericalFailureError("moment quadrature did not converge in step", step_err)
     tail_err = np.inf
-    for _ in range(6):  # double the domain at fixed spacing until the tail is negligible
-        longer = compute(2 * T, 2 * n - 1)
+    for _ in range(6):  # double the lobes at fixed nodes until the tail is negligible
+        longer = vals + compute(lobes, 2 * lobes, nodes)
         tail_err = reldiff(longer, vals)
-        vals, T, n = longer, 2 * T, 2 * n - 1
+        vals, lobes = longer, 2 * lobes
         if tail_err < 0.5 * rtol:
             out = WaveletMoments(*map(float, vals))
             if not all(v > 0 and np.isfinite(v) for v in (out.i1, out.i2, out.i3)):
@@ -262,29 +260,24 @@ class Scalogram:
         return np.abs(self.coeffs)
 
 
-def _kernel_samples(w: BSplineWavelet, omega: float, h: float):
-    """psi(q*h/omega) on the truncated integer offset grid q in [-Q, Q]."""
-    Q = int(np.ceil(w.tail_cutoff() * omega / h))
-    qs = np.arange(-Q, Q + 1)
-    return qs, w.time_domain(qs * (h / omega))
+def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int,
+                         shift: float = 0.0) -> np.ndarray:
+    """H[k] = sum_l psi_hat(omega*(2*pi*l - 2*pi*(k - shift)/P)/h) for k = 0..P-1.
 
-
-def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int) -> np.ndarray:
-    """H[k] = sum_l psi_hat(omega*(2*pi*l - 2*pi*k/P)/h) for k = 0..P-1.
-
-    By Poisson summation, (h/omega)*H is the exact length-P DFT of
-    ``g[m] = sum_q psi((m + q*P)*h/omega)`` evaluated at -k.  psi_hat vanishes
-    outside [1-delta, 1+delta], so only the l with l - k/P in
-    ``h/(2*pi*omega) * [1-delta, 1+delta]`` contribute.
+    By Poisson summation, (omega/h)*H is the exact length-P DFT of
+    ``g[m] = sum_q psi((m + q*P)*h/omega) * exp(-2*pi*i*shift*(m + q*P)/P)``
+    evaluated at -k.  psi_hat vanishes outside [1-delta, 1+delta], so only
+    the l with l - (k - shift)/P in ``h/(2*pi*omega) * [1-delta, 1+delta]``
+    contribute.
     """
     c = h / (2.0 * np.pi * omega)
     lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
     H = np.zeros(P)
-    for l in range(int(np.ceil(lo)), int(np.floor(hi + 1.0)) + 1):
-        k0 = max(int(np.ceil(P * (l - hi))), 0)
-        k1 = min(int(np.floor(P * (l - lo))), P - 1)
+    for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
+        k0 = max(int(np.ceil(P * (l - hi) + shift)), 0)
+        k1 = min(int(np.floor(P * (l - lo) + shift)), P - 1)
         if k1 >= k0:
-            u = l - np.arange(k0, k1 + 1) / P
+            u = l - (np.arange(k0, k1 + 1) - shift) / P
             H[k0 : k1 + 1] += w.freq_response(u / c)
     return H
 
@@ -343,7 +336,9 @@ def cwt_direct(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "pe
     h = f.dt
     out = np.empty((f.n, scales.size), dtype=complex)
     for j, omega in enumerate(scales):
-        qs, kern = _kernel_samples(w, omega, h)
+        Q = int(np.ceil(w.tail_cutoff() * omega / h))
+        qs = np.arange(-Q, Q + 1)
+        kern = w.time_domain(qs * (h / omega))
         for i, m in enumerate(ext.index):
             out[i, j] = np.dot(ext.base[(m + qs) % P], kern)
         out[:, j] *= h / np.sqrt(omega)
@@ -353,19 +348,24 @@ def cwt_direct(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "pe
 def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
     """(1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau.
 
-    Quadrature runs over the periodic extension of the pair: the envelope
-    repeats with the span and the phase advances by theta(t1)-theta(t0) per
-    period.
+    The untruncated sum runs over the periodic extension of the pair: the
+    envelope repeats with the span and the phase advances by
+    theta(t1)-theta(t0) per period.  That extension is quasi-periodic,
+    ``z[m] = y[m mod P] * exp(-i*alpha*m)`` with ``alpha = theta_span/P`` and
+    ``y[r] = a[r] exp(-i(theta[r] - alpha*r))``, so the sum is one
+    inverse-DFT coefficient of ``fft(y)`` times the periodised response
+    shifted by ``alpha*P/(2*pi)`` bins, taken over the bins where that
+    response is non-zero.
     """
     h = pair.dt
     P = pair.n - 1
-    theta_span = pair.theta[-1] - pair.theta[0]
-    qs, kern = _kernel_samples(w, omega, h)
-    m = it + qs
-    wrap = m // P
-    idx = m - wrap * P
-    z = pair.a[idx] * np.exp(-1j * (pair.theta[idx] + wrap * theta_span))
-    return complex(np.dot(z, kern) * h / np.sqrt(omega))
+    alpha = (pair.theta[-1] - pair.theta[0]) / P
+    Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
+    H = _periodised_response(w, omega, h, P, shift=alpha * P / (2.0 * np.pi))
+    k = np.flatnonzero(H)
+    carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
+    total = np.dot(Y[k] * H[k], carrier) / P
+    return complex(np.exp(-1j * alpha * it) * total * np.sqrt(omega))
 
 
 def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: float):
@@ -380,9 +380,18 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
 
     with ``eps_hat`` and ``M'`` the slow-variation metrics measured from the
     pair and ``A = sup|a|``.  The probe time snaps to the nearest grid point.
+    ``t`` and ``omega`` must be finite, and ``omega`` must be resolved on the
+    pair's grid (at least ``MIN_SAMPLES_PER_CYCLE`` samples per oscillation
+    cycle, as in ``cwt``): below that the sampled transform is dominated by
+    aliases, not by the analytic deviation the bound is about.
     """
+    if not (math.isfinite(t) and math.isfinite(omega)):
+        raise InvalidInputError("t and omega must be finite")
     if omega <= 0:
         raise InvalidInputError("omega must be positive")
+    if 2 * np.pi * omega < MIN_SAMPLES_PER_CYCLE * pair.dt:
+        raise InvalidInputError(
+            f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
     from .separation import check_scale_separation
 
     report = check_scale_separation(pair, eps=1.0)

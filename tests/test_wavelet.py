@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsetf import (InvalidInputError, SampledSignal, Scalogram, bspline5,
+from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bspline5,
                       concentration_error, cwt, cwt_direct, default_scales,
                       gen_random_well_separated, make_wavelet, moments)
+from sparsetf.wavelet import _moment_integrands, _transform_complex_mode
 
-from conftest import tone
+from conftest import tone, tone_pair
 
 
 def bspline_recurrence(x: float, order: int = 5) -> float:
@@ -126,6 +127,30 @@ class TestMoments:
             ratio = (self._time_peak_normalised(delta / 2, "i3")
                      / self._time_peak_normalised(delta, "i3"))
             assert ratio == pytest.approx(8.0, rel=0.35)
+
+    @pytest.mark.parametrize("delta", [0.4, 0.05])
+    def test_matches_fine_lobe_reference(self, delta):
+        # 8192 sinc lobes x 64 Gauss-Legendre nodes, far past the tolerance
+        # of moments in both the rule and the truncation of the domain
+        w = make_wavelet(delta)
+        width = 5.0 * np.pi / delta
+        x, wt = np.polynomial.legendre.leggauss(64)
+        ref = np.zeros(3)
+        for k0 in range(0, 8192, 1024):
+            tau = (np.arange(k0, k0 + 1024)[:, None] + 0.5 * (x + 1.0)) * width
+            ref += [np.sum(f @ wt) * width for f in _moment_integrands(w, tau)]
+        m = moments(w)
+        assert_allclose([m.i1, m.i2, m.i3], ref, rtol=2e-7)
+
+    def test_cold_moments_memory(self):
+        moments.cache_clear()
+        tracemalloc.start()
+        try:
+            moments(make_wavelet(0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTransform:
@@ -303,3 +328,41 @@ class TestConcentration:
         for omega in (band_lo / 2.0, band_lo / 3.5):
             err, bound = concentration_error(pair, w, 0.45, omega)
             assert err <= bound
+
+    @pytest.mark.parametrize("t, omega", [
+        (np.nan, 0.003), (np.inf, 0.003), (0.5, np.nan), (0.5, np.inf), (0.5, 1e-9),
+    ], ids=["t-nan", "t-inf", "omega-nan", "omega-inf", "omega-unresolved"])
+    def test_invalid_probe_raises(self, t, omega):
+        # 1e-9 is far below 8 samples per cycle on this grid: the sampled
+        # transform there is an alias, not the deviation the bound is about
+        with pytest.raises(InvalidInputError):
+            concentration_error(tone_pair(64.0), make_wavelet(0.2), t, omega)
+
+    def test_cost_does_not_grow_with_omega(self):
+        # a kernel a million spans wide costs one FFT of the span
+        err, bound = concentration_error(tone_pair(64.0), make_wavelet(0.2), 0.5, 1e6)
+        assert np.isfinite(err) and np.isfinite(bound)
+
+    @pytest.mark.parametrize("where", ["in-band", "out-of-band", "several-periods"])
+    def test_probe_matches_tight_direct_sum(self, where):
+        # theta_span = 2*pi*40.3 is not a multiple of 2*pi, so the extension
+        # advances its phase by a fractional number of cycles each period
+        n = 2048
+        t = np.linspace(0.0, 1.0, n)
+        pair = PhasePair(0.0, 1.0, 1 + 0.1 * np.cos(2 * np.pi * t) + 0.05 * t,
+                         2 * np.pi * 40.3 * t + 0.5 * np.sin(2 * np.pi * t))
+        w = make_wavelet(0.2)
+        h, P = pair.dt, n - 1
+        theta_span = pair.theta[-1] - pair.theta[0]
+        for it in (0, 700, n - 1):
+            theta_p = pair.theta_prime()[it]
+            omega = {"in-band": 1.0 / theta_p,
+                     "out-of-band": 0.5 * (1.0 - w.delta) / theta_p,
+                     "several-periods": 0.05}[where]  # kernel spans ~300 periods
+            Q = int(np.ceil(w.tail_cutoff(1e-12) * omega / h))
+            qs = np.arange(-Q, Q + 1)
+            wrap, idx = np.divmod(it + qs, P)
+            z = pair.a[idx] * np.exp(-1j * (pair.theta[idx] + wrap * theta_span))
+            direct = np.dot(z, w.time_domain(qs * (h / omega))) * h / np.sqrt(omega)
+            W = _transform_complex_mode(pair, w, it, omega)
+            assert abs(W - direct) / np.sqrt(omega) < 1e-11
