@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .synth import GroundTruth
 from .wavelet import Scalogram
 
 __all__ = [
-    "RunManifest",
     "read_signal_csv",
     "write_signal_csv",
     "decomposition_to_dict",
@@ -168,16 +167,6 @@ def ground_truth_to_dict(g: GroundTruth) -> dict:
     return {**decomposition_to_dict(Decomposition(g.pairs, g.residual)), "params": asdict(g.params)}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every command's outputs."""
-
-    command: str
-    config: dict
-    input_digest: dict
-    tool_version: str = __version__
-
-
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -187,12 +176,12 @@ def _digest(path) -> str:
 
 
 def write_run_manifest(out_dir, command: str, config: dict, input_paths: list):
-    out_dir = Path(out_dir)
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        input_digest={str(p): _digest(p) for p in input_paths},
-    )
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-    return manifest
+    """Reproducibility record written alongside every command's outputs."""
+    manifest = {
+        "command": command,
+        "config": config,
+        "input_digest": {str(p): _digest(p) for p in input_paths},
+        "tool_version": __version__,
+    }
+    with open(Path(out_dir) / "run_manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)

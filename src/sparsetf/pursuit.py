@@ -376,8 +376,7 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
         res = solve_p2(residual, theta_init, cfg)
         pair = res.pair
         objective = res.objective
-        rnorm_sq = float(np.trapezoid(residual.values**2, dx=residual.dt))
-        if objective >= rnorm_sq * (1.0 - 1e-12):
+        if objective >= res.history[0] * (1.0 - 1e-12):  # history[0] is ||residual||^2
             no_progress = True
             break
         breakpoints = partition_domain(pair.theta_prime(), cfg.params.d)

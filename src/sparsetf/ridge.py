@@ -60,10 +60,6 @@ class RidgeCurve:
     def n(self) -> int:
         return self.times.size
 
-    def strength(self) -> float:
-        """Summed squared magnitude; used to rank curves."""
-        return float(np.sum(self.magnitude**2))
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -202,9 +198,10 @@ def _unwrap_along(ph_raw: np.ndarray, times: np.ndarray, omega: np.ndarray) -> n
 def ridges_ambiguous(curves: list[RidgeCurve], delta: float, span: tuple[float, float]) -> bool:
     """True when ridge identities cannot be resolved at half-bandwidth delta.
 
-    Two situations are flagged: a pair of coexisting curves whose scales come
-    closer than the band-overlap ratio (1+delta)/(1-delta), and a curve that
-    is born or dies away from the span boundaries (a merge/split event).
+    Two situations are flagged: a pair of curves whose scales, at some time
+    both cover, come closer than the band-overlap ratio (1+delta)/(1-delta),
+    and a curve that is born or dies away from the span boundaries (a
+    merge/split event).
     """
     overlap_ratio = np.log((1.0 + delta) / (1.0 - delta))
     t0, t1 = span
@@ -212,21 +209,10 @@ def ridges_ambiguous(curves: list[RidgeCurve], delta: float, span: tuple[float, 
     for c in curves:
         if c.times[0] > t0 + margin or c.times[-1] < t1 - margin:
             return True
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            a, b = curves[i], curves[j]
-            lo = max(a.times[0], b.times[0])
-            hi = min(a.times[-1], b.times[-1])
-            if lo > hi:
-                continue
-            sa = (a.times >= lo) & (a.times <= hi)
-            sb = (b.times >= lo) & (b.times <= hi)
-            na, nb = np.count_nonzero(sa), np.count_nonzero(sb)
-            k = min(na, nb)
-            if k == 0:
-                continue
-            gap = np.abs(np.log(a.omega[sa][:k] / b.omega[sb][:k]))
-            if np.any(gap < overlap_ratio):
+    for i, a in enumerate(curves):
+        for b in curves[i + 1 :]:
+            _, ia, ib = np.intersect1d(a.times, b.times, return_indices=True)
+            if np.any(np.abs(np.log(a.omega[ia] / b.omega[ib])) < overlap_ratio):
                 return True
     return False
 
@@ -314,8 +300,7 @@ def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
 
 
 def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None = None,
-                       scales=None, voices: int = 32,
-                       extension: str = "periodic") -> list[PhasePair]:
+                       voices: int = 32, extension: str = "periodic") -> list[PhasePair]:
     """Recover (envelope, phase) pairs from the transform ridges of a signal.
 
     ``floor`` is the magnitude threshold relative to the transform peak, by
@@ -324,8 +309,7 @@ def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None 
     """
     if not np.any(f.values != 0):
         return []
-    if scales is None:
-        scales = default_scales(f, w, voices=voices)
+    scales = default_scales(f, w, voices=voices)
     curves = extract_ridges(cwt(f, w, scales, extension=extension), floor)
     pairs = [_pair_from_curve(f, c, w, extension) for c in curves]
     pairs.sort(key=lambda p: float(np.mean(p.theta_prime())))

@@ -119,21 +119,15 @@ class OscillationBoundResult:
 
 def check_scale_separation(pair: PhasePair, eps: float) -> SeparationReport:
     """Measure the slow-variation metrics of a pair with discrete derivatives."""
-    if np.any(np.diff(pair.theta) <= 0):
-        raise InvalidInputError("theta must be strictly increasing")
     dt = pair.dt
     theta_p = differentiate(pair.theta, dt)
     theta_pp = differentiate(theta_p, dt)
     a_p = differentiate(pair.a, dt)
     positive = bool(np.all(theta_p > 0))
-    if not positive:
-        # one-sided boundary stencils can undershoot; metrics are still reported
-        safe = np.where(theta_p > 0, theta_p, np.inf)
-        eps_env = float(np.max(np.abs(a_p) / safe))
-        eps_freq = float(np.max(np.abs(theta_pp) / safe**2))
-    else:
-        eps_env = float(np.max(np.abs(a_p) / theta_p))
-        eps_freq = float(np.max(np.abs(theta_pp) / theta_p**2))
+    # one-sided boundary stencils can undershoot; metrics are still reported
+    safe = np.where(theta_p > 0, theta_p, np.inf)
+    eps_env = float(np.max(np.abs(a_p) / safe))
+    eps_freq = float(np.max(np.abs(theta_pp) / safe**2))
     m_prime = float(np.max(theta_p) / np.min(theta_p)) if positive else float("inf")
     in_dict = positive and eps_env <= eps and eps_freq <= eps
     return SeparationReport(eps_env, eps_freq, m_prime, in_dict)

@@ -42,41 +42,22 @@ def _as_readonly_f64(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampledSignal:
-    """A real signal sampled on the uniform grid over ``[t0, t1]``.
+class _UniformGrid:
+    """The uniform grid over a finite span ``[t0, t1]``, ``t1 > t0``.
 
-    Attributes
-    ----------
-    t0, t1 : float
-        Time span in seconds, ``t1 > t0``.
-    values : np.ndarray
-        Samples at ``t_i = t0 + i*(t1-t0)/(N-1)``, ``N >= 2``, all finite.
+    Subclasses add their samples and define ``n``, the number of grid points.
     """
 
     t0: float
     t1: float
-    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly_f64(self.values))
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise InvalidInputError("signal needs at least 2 samples on a 1-d grid")
-        if not self.t1 > self.t0:
-            raise InvalidInputError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInputError("signal values must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 > self.t0):
+            raise InvalidInputError(f"need finite t0 < t1, got [{self.t0}, {self.t1}]")
 
     @property
     def dt(self) -> float:
         return (self.t1 - self.t0) / (self.n - 1)
-
-    @property
-    def span(self) -> float:
-        return self.t1 - self.t0
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n)
@@ -89,21 +70,46 @@ class SampledSignal:
             and abs(self.t1 - other.t1) <= GRID_RTOL * scale
         )
 
+
+@dataclass(frozen=True)
+class SampledSignal(_UniformGrid):
+    """A real signal sampled on the uniform grid over ``[t0, t1]``.
+
+    Attributes
+    ----------
+    t0, t1 : float
+        Time span in seconds, finite, ``t1 > t0``.
+    values : np.ndarray
+        Samples at ``t_i = t0 + i*(t1-t0)/(N-1)``, ``N >= 2``, all finite.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_readonly_f64(self.values))
+        if self.values.ndim != 1 or self.values.size < 2:
+            raise InvalidInputError("signal needs at least 2 samples on a 1-d grid")
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
+            raise InvalidInputError("signal values must be finite")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
     def norm(self) -> float:
         """L2 norm by trapezoidal quadrature over the span."""
         return float(np.sqrt(np.trapezoid(self.values**2, dx=self.dt)))
 
 
 @dataclass(frozen=True)
-class PhasePair:
+class PhasePair(_UniformGrid):
     """An (envelope, phase) pair parameterizing one candidate mode a*cos(theta).
 
     ``a`` must be strictly positive and ``theta`` strictly increasing on the
     grid; ``theta`` is the unwrapped phase in radians.
     """
 
-    t0: float
-    t1: float
     a: np.ndarray
     theta: np.ndarray
 
@@ -112,8 +118,7 @@ class PhasePair:
         object.__setattr__(self, "theta", _as_readonly_f64(self.theta))
         if self.a.shape != self.theta.shape or self.a.ndim != 1 or self.a.size < 2:
             raise InvalidInputError("a and theta must be 1-d arrays of equal length >= 2")
-        if not self.t1 > self.t0:
-            raise InvalidInputError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        super().__post_init__()
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.theta))):
             raise InvalidInputError("envelope and phase must be finite")
         if np.any(self.a <= 0):
@@ -124,21 +129,6 @@ class PhasePair:
     @property
     def n(self) -> int:
         return self.a.size
-
-    @property
-    def dt(self) -> float:
-        return (self.t1 - self.t0) / (self.n - 1)
-
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.n)
-
-    def same_grid(self, other) -> bool:
-        scale = max(abs(self.t0), abs(self.t1), 1.0)
-        return (
-            self.n == other.n
-            and abs(self.t0 - other.t0) <= GRID_RTOL * scale
-            and abs(self.t1 - other.t1) <= GRID_RTOL * scale
-        )
 
     def theta_prime(self) -> np.ndarray:
         """Instantaneous frequency theta'(t) by finite differences."""

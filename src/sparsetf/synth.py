@@ -14,14 +14,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .separation import check_scale_separation, check_well_separated
-from .signal import DictionaryParams, PhasePair, SampledSignal, reconstruct
+from .signal import Decomposition, DictionaryParams, PhasePair, SampledSignal, reconstruct
 
 __all__ = [
     "GroundTruth",
     "gen_crossing_example",
     "gen_mode_mixing_example",
     "gen_random_well_separated",
-    "mode_mixing_theta1",
 ]
 
 
@@ -42,15 +41,14 @@ class GroundTruth:
         object.__setattr__(self, "pairs", tuple(self.pairs))
 
     def signal(self) -> SampledSignal:
-        total = reconstruct(list(self.pairs))
-        return SampledSignal(self.residual.t0, self.residual.t1,
-                             total.values + self.residual.values)
+        return Decomposition(self.pairs, self.residual).signal()
 
 
 def _measured_params(pairs, fallback_d: float, epsilon0: float) -> DictionaryParams:
-    eps = max(check_scale_separation(p, eps=1.0).eps_measured for p in pairs)
+    reports = [check_scale_separation(p, eps=1.0) for p in pairs]
+    eps = max(r.eps_measured for r in reports)
     eps = min(max(eps, 1e-12), 1.0 - 1e-12)
-    mp = max(check_scale_separation(p, eps=1.0).m_prime for p in pairs)
+    mp = max(r.m_prime for r in reports)
     if len(pairs) >= 2:
         d = check_well_separated(list(pairs), None).d_min
     else:

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
+from .separation import check_scale_separation
 from .signal import PhasePair, SampledSignal, extend_span
 
 __all__ = [
@@ -37,16 +38,12 @@ __all__ = [
     "make_wavelet",
     "moments",
     "cwt",
-    "cwt_direct",
     "concentration_error",
     "default_scales",
 ]
 
 #: Central value B5(5/2) of the cardinal quartic B-spline (support [0, 5]).
 B5_CENTER = 115.0 / 192.0
-
-#: Keep |tau| where the sinc^5 envelope exceeds this fraction of the peak.
-TAIL_REL = 1e-8
 
 #: Warn when a scale has fewer oscillation samples than this.
 MIN_SAMPLES_PER_CYCLE = 8
@@ -117,10 +114,6 @@ class BSplineWavelet:
         if not np.all(np.isfinite(tau)):
             raise InvalidInputError("tau must be finite")
         return self.peak_amplitude * np.exp(1j * tau) * _sinc(self.delta * tau / 5.0) ** 5
-
-    def tail_cutoff(self, rel: float = TAIL_REL) -> float:
-        """|tau| beyond which the |sinc|^5 envelope bound falls below rel*peak."""
-        return 5.0 * rel ** (-1.0 / 5.0) / self.delta
 
 
 def make_wavelet(delta: float) -> BSplineWavelet:
@@ -220,8 +213,7 @@ class Scalogram:
     """Wavelet transform values W(t, omega) on a (time x scale) grid.
 
     ``coeffs[i, j]`` is W at time ``times[i]`` and scale ``scales[j]``, the
-    quadrature of the signal's ``extension`` against psi at that scale
-    (exact for ``cwt``, truncated at ``TAIL_REL`` for ``cwt_direct``).  The
+    quadrature of the signal's ``extension`` against psi at that scale.  The
     ridge of a mode with frequency theta' sits near ``omega = 1/theta'``.
     ``unresolved_scales`` lists scales whose oscillation is sampled by fewer
     than 8 points per cycle on this grid.  ``times`` must hold at least two
@@ -320,31 +312,6 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
     return Scalogram(f.times(), scales, coeffs, w, extension, unresolved)
 
 
-def cwt_direct(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic") -> Scalogram:
-    """Reference transform by explicit quadrature of the same sum as cwt.
-
-    The kernel is truncated where its envelope drops below ``TAIL_REL`` of
-    the peak, so it differs from the untruncated ``cwt`` by at most about
-    1e-8 relative.  Quadratic cost per scale; intended for verification on
-    short signals.
-    """
-    scales = np.asarray(scales, dtype=float)
-    if np.any(scales <= 0):
-        raise InvalidInputError("all scales must be positive")
-    ext = extend_span(f.values, extension)
-    P = ext.base.size
-    h = f.dt
-    out = np.empty((f.n, scales.size), dtype=complex)
-    for j, omega in enumerate(scales):
-        Q = int(np.ceil(w.tail_cutoff() * omega / h))
-        qs = np.arange(-Q, Q + 1)
-        kern = w.time_domain(qs * (h / omega))
-        for i, m in enumerate(ext.index):
-            out[i, j] = np.dot(ext.base[(m + qs) % P], kern)
-        out[:, j] *= h / np.sqrt(omega)
-    return Scalogram(f.times(), scales, out, w, extension)
-
-
 def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
     """(1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau.
 
@@ -392,10 +359,7 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
     if 2 * np.pi * omega < MIN_SAMPLES_PER_CYCLE * pair.dt:
         raise InvalidInputError(
             f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
-    from .separation import check_scale_separation
-
     report = check_scale_separation(pair, eps=1.0)
-    eps_hat = max(report.eps_envelope, report.eps_frequency)
     it = int(round((t - pair.t0) / pair.dt))
     it = min(max(it, 0), pair.n - 1)
     theta_p = pair.theta_prime()
@@ -409,7 +373,7 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
     at = float(pair.a[it])
     mp = report.m_prime
     C = (A + 4.0 * at + 1.0) * mom.i1 + (mp + (mp + 1.0) * at) * mom.i2 + mp * at * mom.i3
-    return error, float(C * eps_hat)
+    return error, float(C * report.eps_measured)
 
 
 def default_scales(f: SampledSignal, w: BSplineWavelet, voices: int = 32,

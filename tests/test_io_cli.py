@@ -1,9 +1,11 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import sparsetf
 from sparsetf import (Decomposition, InvalidInputError, SampledSignal, cwt,
                       default_scales, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet)
@@ -11,7 +13,7 @@ from sparsetf.cli import main
 from sparsetf.io import (decomposition_from_dict, decomposition_to_dict,
                          read_decomposition_json, read_signal_csv,
                          scalogram_to_dict, write_decomposition_json,
-                         write_signal_csv)
+                         write_run_manifest, write_signal_csv)
 
 from conftest import tone, tone_pair
 
@@ -120,6 +122,17 @@ def two_tone_csv(tmp_path_factory):
     return path
 
 
+class TestRunManifest:
+    def test_keys_in_order(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("t,value\n0,0\n1,1\n")
+        write_run_manifest(tmp_path, "cwt", {"delta": 0.2}, [src])
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert list(manifest) == ["command", "config", "input_digest", "tool_version"]
+        assert manifest["input_digest"] == {str(src): hashlib.sha256(src.read_bytes()).hexdigest()}
+        assert manifest["tool_version"] == sparsetf.__version__
+
+
 class TestCli:
     def test_synth_random_writes_signal_and_truth(self, tmp_path):
         out = tmp_path / "out"
@@ -162,6 +175,13 @@ class TestCli:
         assert dec.n_components == 1
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["max_components"] == 1
+
+    def test_decompose_infinite_time_exits_one(self, tmp_path):
+        bad = tmp_path / "inf.csv"
+        t = np.linspace(0.0, 1.0, 256)
+        rows = [f"{ti},{np.cos(2 * np.pi * 16 * ti)}" for ti in t[:-1].tolist()]
+        bad.write_text("t,value\n" + "\n".join(rows) + "\ninf,1.0\n")
+        assert run_cli("decompose", bad, "--out", tmp_path / "o") == 1
 
     def test_decompose_empty_csv_exits_one(self, tmp_path):
         bad = tmp_path / "empty.csv"

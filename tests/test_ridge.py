@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparsetf import (Decomposition, InvalidInputError, SampledSignal, Scalogram,
-                      compare_decompositions, cwt, default_scales, extract_ridges,
-                      gen_crossing_example, gen_mode_mixing_example,
+from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSignal,
+                      Scalogram, compare_decompositions, cwt, default_scales,
+                      extract_ridges, gen_crossing_example, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
 from sparsetf.ridge import MERGE_GAP_FRACTION, MIN_CURVE_FRACTION
@@ -45,6 +45,20 @@ class TestExtract:
         s = cwt(f, w, default_scales(f, w, voices=32))
         curves = extract_ridges(s, floor=0.15)
         assert ridges_ambiguous(curves, 0.2, (0.0, 1.0))
+
+    @pytest.mark.parametrize("ratio, expected", [(1.52, False), (1.45, True)])
+    def test_ambiguity_compares_curves_at_shared_times(self, ratio, expected):
+        # a chirp rising 4x over the span, and a curve at `ratio` times its
+        # scale with a 15-sample hole; 1.52 is above the band-overlap ratio
+        # 1.2/0.8 at every shared time, but pairing samples by position after
+        # the hole compares scales 15 samples apart, which are below it
+        t = np.linspace(0.0, 1.0, 1001)
+        om = 1.0 / (2 * np.pi * 32.0 * 4.0**t)
+        keep = np.ones(t.size, dtype=bool)
+        keep[300:315] = False
+        a = RidgeCurve(t, om, np.ones(t.size), np.zeros(t.size))
+        b = RidgeCurve(t[keep], ratio * om[keep], np.ones(keep.sum()), np.zeros(keep.sum()))
+        assert ridges_ambiguous([a, b], 0.2, (0.0, 1.0)) is expected
 
     def test_floor_validation(self):
         f = tone(64.0, 1024)

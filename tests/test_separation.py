@@ -32,6 +32,16 @@ class TestScaleSeparation:
         assert rep.eps_envelope <= 1 / (20 * np.pi) + 1e-4
         assert rep.eps_frequency <= 1 / (20 * np.pi) + 1e-4
 
+    def test_undershooting_boundary_frequency_is_reported(self):
+        # the one-sided stencil at t0 gives theta' = (4*0.1 - 1)/(2*dt) < 0
+        theta = np.r_[0.0, 0.1, np.arange(1.0, 31.0)]
+        pair = PhasePair(0.0, 1.0, np.ones(theta.size), theta)
+        assert pair.theta_prime()[0] <= 0
+        rep = check_scale_separation(pair, eps=0.5)
+        assert rep.m_prime == np.inf
+        assert rep.in_dictionary is False
+        assert np.isfinite(rep.eps_envelope) and np.isfinite(rep.eps_frequency)
+
     def test_non_monotone_theta_rejected_at_construction(self):
         n = 256
         t = np.linspace(0, 1, n)

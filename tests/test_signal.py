@@ -127,6 +127,16 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             SampledSignal(0.0, 1.0, np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda t0, t1: SampledSignal(t0, t1, np.zeros(8)), id="signal"),
+        pytest.param(lambda t0, t1: PhasePair(t0, t1, np.ones(8), np.arange(8.0)), id="pair"),
+    ])
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)],
+                             ids=["t1-inf", "t0-minus-inf", "both-inf"])
+    def test_non_finite_span_raises(self, make, t0, t1):
+        with pytest.raises(InvalidInputError):
+            make(t0, t1)
+
     def test_signal_values_read_only(self):
         s = tone(4.0, 64)
         with pytest.raises(ValueError):

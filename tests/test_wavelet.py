@@ -5,11 +5,42 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bspline5,
-                      concentration_error, cwt, cwt_direct, default_scales,
+                      concentration_error, cwt, default_scales,
                       gen_random_well_separated, make_wavelet, moments)
+from sparsetf.signal import extend_span
 from sparsetf.wavelet import _moment_integrands, _transform_complex_mode
 
 from conftest import tone, tone_pair
+
+#: Keep |tau| where the sinc^5 envelope exceeds this fraction of the peak.
+TAIL_REL = 1e-8
+
+
+def tail_cutoff(w, rel: float = TAIL_REL) -> float:
+    """|tau| beyond which the |sinc|^5 envelope bound falls below rel*peak."""
+    return 5.0 * rel ** (-1.0 / 5.0) / w.delta
+
+
+def cwt_direct(f: SampledSignal, w, scales, extension: str = "periodic") -> Scalogram:
+    """Reference transform by explicit quadrature of the same sum as cwt.
+
+    The kernel is truncated where its envelope drops below ``TAIL_REL`` of
+    the peak, so it differs from the untruncated ``cwt`` by at most about
+    1e-8 relative.  Quadratic cost per scale; for short signals only.
+    """
+    scales = np.asarray(scales, dtype=float)
+    ext = extend_span(f.values, extension)
+    P = ext.base.size
+    h = f.dt
+    out = np.empty((f.n, scales.size), dtype=complex)
+    for j, omega in enumerate(scales):
+        Q = int(np.ceil(tail_cutoff(w) * omega / h))
+        qs = np.arange(-Q, Q + 1)
+        kern = w.time_domain(qs * (h / omega))
+        for i, m in enumerate(ext.index):
+            out[i, j] = np.dot(ext.base[(m + qs) % P], kern)
+        out[:, j] *= h / np.sqrt(omega)
+    return Scalogram(f.times(), scales, out, w, extension)
 
 
 def bspline_recurrence(x: float, order: int = 5) -> float:
@@ -80,7 +111,7 @@ class TestTimeDomain:
 
     def test_fft_of_samples_reproduces_response(self):
         w = make_wavelet(0.2)
-        T = w.tail_cutoff() * 1.2
+        T = tail_cutoff(w) * 1.2
         n = 2**20
         dt = 2 * T / n
         tau = (np.arange(n) - n // 2) * dt
@@ -359,7 +390,7 @@ class TestConcentration:
             omega = {"in-band": 1.0 / theta_p,
                      "out-of-band": 0.5 * (1.0 - w.delta) / theta_p,
                      "several-periods": 0.05}[where]  # kernel spans ~300 periods
-            Q = int(np.ceil(w.tail_cutoff(1e-12) * omega / h))
+            Q = int(np.ceil(tail_cutoff(w, 1e-12) * omega / h))
             qs = np.arange(-Q, Q + 1)
             wrap, idx = np.divmod(it + qs, P)
             z = pair.a[idx] * np.exp(-1j * (pair.theta[idx] + wrap * theta_span))
