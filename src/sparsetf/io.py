@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -65,6 +66,8 @@ def read_signal_csv(path, resample: bool = True) -> SampledSignal:
             vs.append(float(cells[1]))
         except ValueError as exc:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
+        if not math.isfinite(ts[-1]):
+            raise InvalidInputError(f"{path}: line {lineno}: t must be finite, got {cells[0]!r}")
     if len(ts) < 2:
         raise InvalidInputError(f"{path}: need at least 2 samples, got {len(ts)}")
     t = np.asarray(ts)

@@ -284,15 +284,18 @@ def partition_domain(theta_prime, d: float) -> np.ndarray:
     if not d > 1:
         raise InvalidInputError("d must exceed 1")
     root = np.sqrt(d)
-    breakpoints = []
-    lo = hi = tp[0]
-    for i in range(1, tp.size):
-        nlo, nhi = min(lo, tp[i]), max(hi, tp[i])
-        if nhi / nlo >= root:
-            breakpoints.append(i)
-            lo = hi = tp[i]
+    breakpoints, start, width = [], 0, 64
+    while start + 1 < tp.size:
+        # running extrema from the segment start; the window doubles on a miss
+        rest = tp[start : start + width]
+        hit = np.maximum.accumulate(rest)[1:] / np.minimum.accumulate(rest)[1:] >= root
+        if hit.any():
+            start += 1 + int(np.argmax(hit))
+            breakpoints.append(start)
+        elif start + width >= tp.size:
+            break
         else:
-            lo, hi = nlo, nhi
+            width *= 2
     return np.asarray(breakpoints, dtype=int)
 
 

@@ -127,7 +127,8 @@ def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]
         raise InvalidInputError("scalogram has too few scales")
     if floor is not None and not floor > 0:
         raise InvalidInputError("floor must be positive")
-    mags = s.magnitude() / np.sqrt(s.scales)[None, :]
+    mags = s.magnitude()
+    mags /= np.sqrt(s.scales)[None, :]
     gmax = float(np.max(mags))
     if gmax == 0.0:
         return []
@@ -143,34 +144,9 @@ def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]
 
     ti, om, mag, ph = _refined_peaks(mags, s.coeffs, s.scales, threshold)
     mag = mag * np.sqrt(om)  # back to raw |W| along the curve
+    del mags  # release it before the links and curves are allocated
     t = s.times[ti]
-    starts = np.searchsorted(ti, np.arange(nt + 1)).tolist()
-
-    # The curves alive at step i end exactly at the peaks of step i-1, so
-    # linking is one greedy matching per step: nxt[q] = p continues the
-    # curve through peak q at peak p.
-    nxt = [-1] * ti.size
-    linked = [False] * ti.size
-    for i in range(1, nt):
-        q0, p0, p1 = starts[i - 1], starts[i], starts[i + 1]
-        cost = np.abs(np.log(om[p0:p1] / om[q0:p0, None])).ravel()
-        order = cost.argsort(kind="stable")
-        for k in order[: np.count_nonzero(cost <= cap)].tolist():
-            q, p = q0 + k // (p1 - p0), p0 + k % (p1 - p0)
-            if nxt[q] < 0 and not linked[p]:
-                nxt[q] = p
-                linked[p] = True
-    chains = []
-    for head in range(ti.size):
-        if not linked[head]:
-            chain = [head]
-            while nxt[chain[-1]] >= 0:
-                chain.append(nxt[chain[-1]])
-            chains.append(chain)
-    # merge in order of start, then of end (the order in which curves
-    # close), then of first peak
-    chains.sort(key=lambda c: (ti[c[0]], ti[c[-1]], c[0]))
-    chains = _merge_fragments(chains, t, om, MERGE_GAP_FRACTION * span)
+    chains = _merge_fragments(_link(ti, om, nt, cap), t, om, MERGE_GAP_FRACTION * span)
 
     curves = []
     min_len = max(2, int(np.ceil(MIN_CURVE_FRACTION * nt)))
@@ -179,6 +155,52 @@ def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]
             curves.append(RidgeCurve(t[c], om[c], mag[c], _unwrap_along(ph[c], t[c], om[c])))
     curves.sort(key=lambda c: float(np.mean(c.omega)), reverse=True)  # low frequency first
     return curves
+
+
+def _link(ti: np.ndarray, om: np.ndarray, nt: int, cap: float) -> list[list]:
+    """Chains of indices into the peak table (time index ``ti``, omega
+    ``om``) over ``nt`` steps, in order of start, then of end (the order in
+    which curves close), then of first peak."""
+    starts = np.searchsorted(ti, np.arange(nt + 1))
+    size = np.diff(starts)
+    # The curves alive at step i end exactly at the peaks of step i-1, so
+    # linking is one greedy matching per step: nxt[q] = p continues the
+    # curve through peak q at peak p.  Where two steps hold as many peaks
+    # (increasing in omega) and every k-th-to-k-th link is within the cap
+    # and strictly cheaper than both crossings with the neighbouring pair,
+    # the matching is that diagonal (README, "Ridges").
+    diagonal = np.append(size[1:] == size[:-1], False)  # per step, to the next
+    q = np.flatnonzero(diagonal[ti])
+    p = q + size[ti[q]]
+    cost = np.abs(np.log(om[p] / om[q]))
+    crossing = np.minimum(np.abs(np.log(om[p[1:]] / om[q[:-1]])),
+                          np.abs(np.log(om[p[:-1]] / om[q[1:]])))
+    near = (ti[q[1:]] == ti[q[:-1]]) & (np.maximum(cost[1:], cost[:-1]) >= crossing)
+    diagonal[ti[q[(cost > cap) | np.append(near, False) | np.append(False, near)]]] = False
+    bulk = diagonal[ti[q]]
+    nxt = np.full(ti.size, -1)
+    nxt[q[bulk]] = p[bulk]
+    linked = np.zeros(ti.size, dtype=bool)
+    linked[p[bulk]] = True
+    # the other steps with peaks on both sides: greedy, cheapest first
+    for i in np.flatnonzero((size[:-1] > 0) & (size[1:] > 0) & ~diagonal[:-1]).tolist():
+        q0, p0, p1 = starts[i], starts[i + 1], starts[i + 2]
+        cost = np.abs(np.log(om[p0:p1] / om[q0:p0, None])).ravel()
+        order = cost.argsort(kind="stable")
+        for k in order[: np.count_nonzero(cost <= cap)].tolist():
+            a, b = q0 + k // (p1 - p0), p0 + k % (p1 - p0)
+            if nxt[a] < 0 and not linked[b]:
+                nxt[a] = b
+                linked[b] = True
+    # chains: predecessors doubled to first peaks, sorted by start, length, head, time
+    head = np.arange(nxt.size)
+    head[nxt[nxt >= 0]] = np.flatnonzero(nxt >= 0)
+    while not np.array_equal(head[head], head):
+        head = head[head]
+    order = np.lexsort((ti, head, np.bincount(head, minlength=head.size)[head], ti[head]))
+    flat = order.tolist()
+    cuts = np.flatnonzero(np.diff(head[order], prepend=-1)).tolist()
+    return [flat[a:b] for a, b in zip(cuts, cuts[1:] + [len(flat)])]
 
 
 def _unwrap_along(ph_raw: np.ndarray, times: np.ndarray, omega: np.ndarray) -> np.ndarray:

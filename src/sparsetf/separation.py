@@ -165,13 +165,15 @@ def coherence(x: PhasePair, y: PhasePair) -> float:
     return abs(inner_product(sx, sy)) / (nx * ny)
 
 
-def _warn_if_not_periodic(pair: PhasePair, label: str):
+def _warn_if_not_periodic(pair: PhasePair):
+    # the message depends only on the pair, so Python's once-per-message
+    # filter warns once per pair however many checks include it
     theta_p = pair.theta_prime()
     rel_a = abs(pair.a[0] - pair.a[-1]) / max(abs(pair.a[0]), abs(pair.a[-1]))
     rel_f = abs(theta_p[0] - theta_p[-1]) / max(abs(theta_p[0]), abs(theta_p[-1]))
     if rel_a > PERIODICITY_RTOL or rel_f > PERIODICITY_RTOL:
         warnings.warn(
-            f"{label}: endpoint mismatch (a: {rel_a:.2e}, theta': {rel_f:.2e}) exceeds "
+            f"endpoint mismatch (a: {rel_a:.2e}, theta': {rel_f:.2e}) exceeds "
             f"{PERIODICITY_RTOL:.0e}; the whole-period bound is heuristic here",
             RuntimeWarning,
         )
@@ -184,7 +186,7 @@ def verify_norm_equivalence(pair: PhasePair) -> NormEquivalenceResult:
     periodic over its span; a mismatch raises a warning but the check is
     still computed.
     """
-    _warn_if_not_periodic(pair, "verify_norm_equivalence")
+    _warn_if_not_periodic(pair)
     report = check_scale_separation(pair, eps=1.0)
     eps_hat = report.eps_measured
     dt = pair.dt
@@ -205,8 +207,8 @@ def verify_cross_term_bound(x: PhasePair, y: PhasePair) -> CrossTermResult:
     """
     if not x.same_grid(y):
         raise InvalidInputError("pairs must share one grid")
-    _warn_if_not_periodic(x, "verify_cross_term_bound (first pair)")
-    _warn_if_not_periodic(y, "verify_cross_term_bound (second pair)")
+    _warn_if_not_periodic(x)
+    _warn_if_not_periodic(y)
     beta = float(np.min(y.theta_prime() / x.theta_prime()))
     if beta <= 1.0:
         raise InvalidInputError(

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import sparsetf
-from sparsetf import (Decomposition, InvalidInputError, SampledSignal, cwt,
+from sparsetf import (Decomposition, InvalidInputError, PhasePair, SampledSignal, cwt,
                       default_scales, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet)
 from sparsetf.cli import main
@@ -54,6 +55,17 @@ class TestSignalCsv:
         path.write_text("t,value\n0.0,1.0\n0.1\n")
         with pytest.raises(InvalidInputError, match="line 3"):
             read_signal_csv(path)
+
+    @pytest.mark.parametrize("bad, row, line", [("inf", 4, 6), ("nan", 1, 3), ("-inf", 0, 2)])
+    def test_non_finite_time_reports_line(self, tmp_path, bad, row, line):
+        rows = ["0.0,1.0", "0.1,1.0", "", "0.2,1.0", "0.3,1.0"]  # lines 2-6; 4 is blank
+        rows[row] = f"{bad},1.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(InvalidInputError, match=f"line {line}: t must be finite"):
+                read_signal_csv(path)
 
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -224,6 +236,23 @@ class TestCli:
         code = run_cli("verify", dec, sig, "--epsilon", 0.05, "--d", 2.0,
                        "--epsilon0", 0.01)
         assert code == 3
+
+    def test_verify_warns_once_per_non_periodic_component(self, tmp_path):
+        # two tones whose envelopes differ at the ends; each pair appears in
+        # a norm-equivalence check and in the cross-term check
+        t = np.linspace(0.0, 1.0, 4096)
+        pairs = (PhasePair(0, 1, 1 + 0.5 * t, 2 * np.pi * 16 * t),
+                 PhasePair(0, 1, 1 + 0.2 * t, 2 * np.pi * 64 * t))
+        d = Decomposition(pairs, SampledSignal(0, 1, np.zeros(t.size)))
+        sig = tmp_path / "s.csv"
+        dec = tmp_path / "d.json"
+        write_signal_csv(sig, d.signal())
+        write_decomposition_json(dec, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # once per message, as on the command line
+            run_cli("verify", dec, sig)
+        mismatch = [w for w in caught if "endpoint mismatch" in str(w.message)]
+        assert len(mismatch) == 2
 
     def test_verify_crossing_fails_separation(self, tmp_path):
         from sparsetf import gen_crossing_example

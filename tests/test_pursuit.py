@@ -87,6 +87,21 @@ class TestSolve:
             solve_p2(r, np.zeros(n), default_cfg())
 
 
+def partition_reference(tp, d):
+    """``partition_domain`` as a per-sample scan with running extrema."""
+    root = np.sqrt(d)
+    breakpoints = []
+    lo = hi = tp[0]
+    for i in range(1, tp.size):
+        nlo, nhi = min(lo, tp[i]), max(hi, tp[i])
+        if nhi / nlo >= root:
+            breakpoints.append(i)
+            lo = hi = tp[i]
+        else:
+            lo, hi = nlo, nhi
+    return np.asarray(breakpoints, dtype=int)
+
+
 class TestPartition:
     def test_constant_frequency_single_segment(self):
         assert partition_domain(np.full(512, 7.0), 2.0).size == 0
@@ -116,6 +131,20 @@ class TestPartition:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             seg = tp[lo:hi]
             assert seg.max() / seg.min() < np.sqrt(d)
+
+    @settings(deadline=None, max_examples=80)
+    @given(arrays(np.float64, st_.integers(1, 600), elements=st_.floats(0.1, 50.0)),
+           st_.sampled_from([1.0 + 3e-16, 1.0001, 1.1, 2.0, 4.0, 9.0]))
+    def test_breakpoints_match_the_per_sample_scan(self, tp, d):
+        # 1 + 3e-16 has sqrt(d) == 1.0, so every sample starts a segment;
+        # lengths above 64 need the search window to grow
+        assert np.array_equal(partition_domain(tp, d), partition_reference(tp, d))
+
+    @pytest.mark.parametrize("d", [1.0001, 2.0])
+    def test_breakpoints_match_the_per_sample_scan_on_a_long_noisy_ramp(self, d):
+        ramp = np.exp(np.linspace(0.0, 3.0, 20_000))
+        tp = ramp * (1 + 0.01 * np.random.default_rng(3).random(ramp.size))
+        assert np.array_equal(partition_domain(tp, d), partition_reference(tp, d))
 
 
 class TestStitching:

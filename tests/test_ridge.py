@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from numpy.testing import assert_allclose
 
 from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSignal,
@@ -7,7 +9,8 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
                       extract_ridges, gen_crossing_example, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
-from sparsetf.ridge import MERGE_GAP_FRACTION, MIN_CURVE_FRACTION
+from sparsetf.ridge import (MERGE_GAP_FRACTION, MIN_CURVE_FRACTION, _merge_fragments,
+                            _refined_peaks, _unwrap_along)
 
 from conftest import tone, tone_pair
 
@@ -68,11 +71,72 @@ class TestExtract:
             extract_ridges(s, floor=0.0)
 
 
-def tracks_scalogram(nt: int, tracks, n_scales: int = 32):
+def extract_ridges_reference(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]:
+    """``extract_ridges`` with every step matched by the per-step greedy loop:
+    the pairs of consecutive steps sorted stably by log-scale jump, cut at
+    the cap, ``nxt[q] = p`` while both are free; chains walked one by one."""
+    mags = s.magnitude() / np.sqrt(s.scales)[None, :]
+    gmax = float(np.max(mags))
+    if gmax == 0.0:
+        return []
+    if floor is None:
+        floor = min(max(3.0 * float(np.median(mags)) / gmax, 1e-6), 0.5)
+    nt = s.times.size
+    dt = s.times[1] - s.times[0]
+    span = s.times[-1] - s.times[0]
+    step_cap = np.log(2.0) * dt / (0.01 * span)
+    grid_step = float(np.max(np.log(s.scales[1:] / s.scales[:-1])))
+    cap = max(step_cap, 1.5 * grid_step)
+    ti, om, mag, ph = _refined_peaks(mags, s.coeffs, s.scales, floor * gmax)
+    mag = mag * np.sqrt(om)
+    t = s.times[ti]
+    starts = np.searchsorted(ti, np.arange(nt + 1)).tolist()
+    nxt = [-1] * ti.size
+    linked = [False] * ti.size
+    for i in range(1, nt):
+        q0, p0, p1 = starts[i - 1], starts[i], starts[i + 1]
+        cost = np.abs(np.log(om[p0:p1] / om[q0:p0, None])).ravel()
+        order = cost.argsort(kind="stable")
+        for k in order[: np.count_nonzero(cost <= cap)].tolist():
+            q, p = q0 + k // (p1 - p0), p0 + k % (p1 - p0)
+            if nxt[q] < 0 and not linked[p]:
+                nxt[q] = p
+                linked[p] = True
+    chains = []
+    for head in range(ti.size):
+        if not linked[head]:
+            chain = [head]
+            while nxt[chain[-1]] >= 0:
+                chain.append(nxt[chain[-1]])
+            chains.append(chain)
+    chains.sort(key=lambda c: (ti[c[0]], ti[c[-1]], c[0]))
+    chains = _merge_fragments(chains, t, om, MERGE_GAP_FRACTION * span)
+    min_len = max(2, int(np.ceil(MIN_CURVE_FRACTION * nt)))
+    curves = [RidgeCurve(t[c], om[c], mag[c], _unwrap_along(ph[c], t[c], om[c]))
+              for c in chains if len(c) >= min_len]
+    curves.sort(key=lambda c: float(np.mean(c.omega)), reverse=True)
+    return curves
+
+
+def assert_same_curves(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("times", "omega", "magnitude", "phase"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+#: Scale ladders for hand-made scalograms: eight voices per octave, and four
+#: voices starting at 1, whose every fourth scale is an exact power of two
+#: (so log-scale jumps between those scales tie exactly).
+EIGHTH_OCTAVES = 0.01 * 2.0 ** (np.arange(32) / 8)
+POWERS_OF_TWO = 2.0 ** (np.arange(32) / 4)
+
+
+def tracks_scalogram(nt: int, tracks, scales=EIGHTH_OCTAVES):
     """Scalogram whose normalized magnitude |W|/sqrt(omega) is a unit tent of
     half-width two scale steps centred on ``track[i]`` (a scale index, or -1
     for no peak) at time i, so every peak sits exactly on its grid scale."""
-    scales = 0.01 * 2.0 ** (np.arange(n_scales) / 8)
+    n_scales = scales.size
     j = np.arange(n_scales)
     mags = np.zeros((nt, n_scales))
     for track in tracks:
@@ -157,6 +221,76 @@ class TestLink:
             peaks |= points
         means = [float(np.mean(c.omega)) for c in curves]
         assert means == sorted(means, reverse=True)
+
+    def test_tied_step_falls_to_the_greedy_loop(self):
+        # at step 50 both tracks jump up one octave: the lower track's link
+        # costs exactly as much as the upper track's crossing to the lower
+        # peak, and both equal the cap (one octave per step at 101 steps)
+        nt = 101
+        s = tracks_scalogram(nt, [[8] * 50 + [12] * 51, [16] * 50 + [20] * 51],
+                             scales=POWERS_OF_TWO)
+        got = extract_ridges(s, floor=0.5)
+        assert_same_curves(got, extract_ridges_reference(s, floor=0.5))
+        assert len(got) == 2
+        assert_allclose(got[0].omega, [16.0] * 50 + [32.0] * 51, rtol=0)
+        assert_allclose(got[1].omega, [4.0] * 50 + [8.0] * 51, rtol=0)
+
+    def test_cheaper_crossing_beats_the_diagonal(self):
+        # equal peak counts, but the upper track's nearest peak is the lower
+        # one: greedy matching continues it there, and the old lower track ends
+        nt = 101
+        s = tracks_scalogram(nt, [[10] * 50 + [15] * 51, [16] * 50 + [24] * 51])
+        got = extract_ridges(s, floor=0.5)
+        assert_same_curves(got, extract_ridges_reference(s, floor=0.5))
+        by_start = sorted(got, key=lambda c: (c.times[0], c.n))
+        assert [c.n for c in by_start] == [50, 101, 51]
+        assert_allclose(by_start[1].omega, s.scales[[16] * 50 + [15] * 51], rtol=1e-12)
+
+    @pytest.mark.parametrize("jump, n_curves", [(6, 1), (10, 2)])
+    def test_jump_beyond_the_cap_ends_the_curve(self, jump, n_curves):
+        # one peak per step throughout; the cap is one octave (8 scale steps)
+        nt = 101
+        s = tracks_scalogram(nt, [[10] * 50 + [10 + jump] * 51])
+        got = extract_ridges(s, floor=0.5)
+        assert_same_curves(got, extract_ridges_reference(s, floor=0.5))
+        assert len(got) == n_curves
+
+    def test_birth_inside_a_run_of_equal_count_steps(self):
+        nt = 201
+        s = tracks_scalogram(nt, [[10] * nt, [-1] * 80 + [22] * 121, [4] * 150 + [-1] * 51])
+        got = extract_ridges(s, floor=0.5)
+        assert_same_curves(got, extract_ridges_reference(s, floor=0.5))
+        assert sorted(c.n for c in got) == [121, 150, 201]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st_.integers(10, 80),
+           st_.lists(st_.lists(st_.tuples(st_.integers(-1, 31), st_.integers(1, 30)),
+                               min_size=1, max_size=6), min_size=1, max_size=4),
+           st_.sampled_from(["eighth-octaves", "powers-of-two"]),
+           st_.sampled_from([0.2, 0.5]))
+    def test_matches_the_per_step_greedy_reference(self, nt, runs, ladder, floor):
+        # each track is a few runs of (scale index or -1, length), cut or
+        # padded with -1 to nt steps: equal-count runs, births, deaths,
+        # jumps, near and exact ties, and overlapping tents
+        tracks = []
+        for track_runs in runs:
+            track = [c for c, length in track_runs for _ in range(length)][:nt]
+            tracks.append(track + [-1] * (nt - len(track)))
+        scales = EIGHTH_OCTAVES if ladder == "eighth-octaves" else POWERS_OF_TWO
+        s = tracks_scalogram(nt, tracks, scales=scales)
+        assert_same_curves(extract_ridges(s, floor), extract_ridges_reference(s, floor))
+
+    @pytest.mark.parametrize("seed", [60_000, 60_001])
+    def test_matches_the_per_step_greedy_reference_on_family_scalograms(self, seed):
+        m = 2 + seed % 2
+        f, _ = gen_random_well_separated(m, 2.0, 0.05, seed, 8192 if m == 2 else 16384,
+                                         base_freq=64)
+        noise = 0.3 * np.random.default_rng(seed).standard_normal(f.n)
+        g = SampledSignal(f.t0, f.t1, f.values + noise)
+        w = make_wavelet(0.15)
+        s = cwt(g, w, default_scales(f, w, voices=16))
+        for floor in (None, 0.05):
+            assert_same_curves(extract_ridges(s, floor), extract_ridges_reference(s, floor))
 
     def test_default_floor_is_three_medians(self):
         f, _ = gen_random_well_separated(2, 2.0, 0.05, 60_000, 8192, base_freq=64)
