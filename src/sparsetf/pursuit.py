@@ -115,19 +115,19 @@ def _lowpass_sharp(x: np.ndarray, cutoff_cycles: float, extension: str) -> np.nd
     return ext.restrict(np.fft.irfft(X, ext.base.size))
 
 
-def _demodulate(t: np.ndarray, r: np.ndarray, theta: np.ndarray, eta: float,
+def _demodulate(t: np.ndarray, r: CubicSpline, theta: np.ndarray, eta: float,
                 extension: str = "periodic"):
     """In-phase/quadrature envelopes of r against the carrier cos(theta).
 
-    Interpolates r onto a uniform phase grid, low-passes 2*r*cos and 2*r*sin
-    below ``eta`` times the carrier frequency, and maps the slow envelopes
-    back to the time grid.  For r = A*cos(theta + phi) with slow A, phi this
-    returns (A*cos(phi), -A*sin(phi)).
+    ``r`` is the cubic spline through r's samples at ``t``, built once per
+    solve.  Interpolates r onto a uniform phase grid, low-passes 2*r*cos and
+    2*r*sin below ``eta`` times the carrier frequency, and maps the slow
+    envelopes back to the time grid.  For r = A*cos(theta + phi) with slow
+    A, phi this returns (A*cos(phi), -A*sin(phi)).
     """
-    n = r.size
-    s = np.linspace(theta[0], theta[-1], n)
+    s = np.linspace(theta[0], theta[-1], t.size)
     t_of_s = np.clip(CubicSpline(theta, t)(s), t[0], t[-1])
-    r_of_s = CubicSpline(t, r)(t_of_s)
+    r_of_s = r(t_of_s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
     cutoff = eta * cycles
     a_s = _lowpass_sharp(2.0 * r_of_s * np.cos(s), cutoff, extension)
@@ -172,6 +172,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     if np.any(np.diff(theta) <= 0):
         raise InvalidInputError("theta_init must be strictly increasing")
     t = r.times()
+    r_spline = CubicSpline(t, r.values)
     h = r.dt
     a_floor = max(1e-12 * float(np.max(np.abs(r.values))), np.finfo(float).tiny)
 
@@ -191,7 +192,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
         iterations += 1
         eta = stages[stage]
         at_full_bandwidth = stage == len(stages) - 1
-        a_t, b_t = _demodulate(t, r.values, theta, eta, cfg.extension)
+        a_t, b_t = _demodulate(t, r_spline, theta, eta, cfg.extension)
         amp = np.hypot(a_t, b_t)
         phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
         rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
@@ -256,16 +257,17 @@ def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitCo
     check; falls back to a constant envelope, which always does.
     """
     t = r.times()
+    r_spline = CubicSpline(t, r.values)
     a_floor = max(1e-12 * float(np.max(np.abs(r.values))), np.finfo(float).tiny)
     cutoff = cfg.lowpass_fraction / 8.0
     for _ in range(8):
-        a_t, _ = _demodulate(t, r.values, theta, cutoff, cfg.extension)
+        a_t, _ = _demodulate(t, r_spline, theta, cutoff, cfg.extension)
         amp = np.maximum(a_t, a_floor)
         pair = PhasePair(r.t0, r.t1, amp, theta)
         if check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
             return pair, p2_objective(r, pair)
         cutoff *= 0.5
-    a_t, _ = _demodulate(t, r.values, theta, cfg.lowpass_fraction / 8.0, cfg.extension)
+    a_t, _ = _demodulate(t, r_spline, theta, cfg.lowpass_fraction / 8.0, cfg.extension)
     amp = np.full(r.n, max(float(np.mean(a_t)), a_floor))
     pair = PhasePair(r.t0, r.t1, amp, theta)
     return pair, p2_objective(r, pair)

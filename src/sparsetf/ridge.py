@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import InvalidInputError
 from .signal import (Decomposition, PhasePair, SampledSignal, cumulative_integral,
                      extend_span, moving_average)
-from .wavelet import BSplineWavelet, Scalogram, cwt, default_scales
+from .wavelet import BSplineWavelet, Scalogram, _folded_cwt, default_scales
 
 __all__ = [
     "RidgeCurve",
@@ -326,13 +326,14 @@ def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None 
     """Recover (envelope, phase) pairs from the transform ridges of a signal.
 
     ``floor`` is the magnitude threshold relative to the transform peak, by
-    default that of ``extract_ridges``.  Returns pairs ordered by increasing
-    mean frequency; an empty list if nothing rises above the floor.
+    default that of ``extract_ridges``, on the coarsest transform that
+    resolves every scale (``_folded_cwt``).  Returns pairs ordered by
+    increasing mean frequency; an empty list if nothing rises above the floor.
     """
     if not np.any(f.values != 0):
         return []
     scales = default_scales(f, w, voices=voices)
-    curves = extract_ridges(cwt(f, w, scales, extension=extension), floor)
+    curves = extract_ridges(_folded_cwt(f, w, scales, extension), floor)
     pairs = [_pair_from_curve(f, c, w, extension) for c in curves]
     pairs.sort(key=lambda p: float(np.mean(p.theta_prime())))
     return pairs

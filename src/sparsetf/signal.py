@@ -285,6 +285,5 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
         window += 1
     if window <= 1:
         return x.copy()
-    half = window // 2
-    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
-    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+    from scipy.ndimage import uniform_filter1d  # deferred: it adds 70 ms to the import
+    return uniform_filter1d(np.asarray(x, dtype=float), window, mode="mirror")

@@ -253,8 +253,10 @@ class Scalogram:
 
 
 def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int,
-                         shift: float = 0.0) -> np.ndarray:
-    """H[k] = sum_l psi_hat(omega*(2*pi*l - 2*pi*(k - shift)/P)/h) for k = 0..P-1.
+                         shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The bins k where H[k] != 0, increasing, and H there, for
+
+    ``H[k] = sum_l psi_hat(omega*(2*pi*l - 2*pi*(k - shift)/P)/h)``, k = 0..P-1.
 
     By Poisson summation, (omega/h)*H is the exact length-P DFT of
     ``g[m] = sum_q psi((m + q*P)*h/omega) * exp(-2*pi*i*shift*(m + q*P)/P)``
@@ -264,14 +266,20 @@ def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int,
     """
     c = h / (2.0 * np.pi * omega)
     lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
-    H = np.zeros(P)
+    ks, Hs = [], []
     for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
         k0 = max(int(np.ceil(P * (l - hi) + shift)), 0)
         k1 = min(int(np.floor(P * (l - lo) + shift)), P - 1)
         if k1 >= k0:
-            u = l - (np.arange(k0, k1 + 1) - shift) / P
-            H[k0 : k1 + 1] += w.freq_response(u / c)
-    return H
+            ks.append(np.arange(k0, k1 + 1))
+            Hs.append(w.freq_response((l - (ks[-1] - shift) / P) / c))
+    if len(ks) == 1:
+        k, H = ks[0], Hs[0]
+    else:  # none, or (below two samples per cycle) aliases l of one bin that add up
+        k, inv = np.unique(np.concatenate([np.zeros(0, dtype=int), *ks]), return_inverse=True)
+        H = np.bincount(inv, weights=np.concatenate([np.zeros(0), *Hs]))
+    keep = np.flatnonzero(H)
+    return k[keep], H[keep]
 
 
 def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic") -> Scalogram:
@@ -285,6 +293,19 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
     extension's period (the FFT-domain transform of Torrence & Compo, 1998),
     exact up to round-off.
     """
+    return _folded_cwt(f, w, scales, extension, math.inf)
+
+
+def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic",
+                L: float | None = None) -> Scalogram:
+    """W at ``L`` equally spaced times per extension period, ``linspace(t0, t1, L/spans + 1)``.
+
+    Each scale's spectral product, folded modulo L at its signed frequencies
+    (bin k > P/2 stands for k - P), gives W at those times exactly by one
+    inverse FFT of length L (README, "Seeding transform").  ``L=None`` takes
+    the smallest power of two that resolves the smallest scale on the coarse
+    step and covers the widest non-zero band; L >= P gives the full grid, ``cwt``.
+    """
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size == 0:
         raise InvalidInputError("scales must be a non-empty 1-d array")
@@ -296,8 +317,21 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
     P = ext.base.size
     h = f.dt
     F = np.fft.fft(ext.base)
+    responses = [_periodised_response(w, omega, h, P) for omega in scales]
+    signed = [np.where(k > P // 2, k - P, k) for k, _ in responses]
 
-    unresolved = tuple(float(s) for s in scales if 2 * np.pi * s < MIN_SAMPLES_PER_CYCLE * h)
+    def step(L):  # the coarse grid's time step
+        return (f.t1 - f.t0) / (L // ext.spans)
+
+    if L is None:
+        widest = max(int(s.max() - s.min()) + 1 if s.size else 0 for s in signed)
+        L = 2
+        while L < P and (L < widest or 2 * np.pi * scales[0] < MIN_SAMPLES_PER_CYCLE * step(L)):
+            L *= 2
+    L = P if L >= P else int(L)
+
+    unresolved = tuple(float(s) for s in scales
+                       if 2 * np.pi * s < MIN_SAMPLES_PER_CYCLE * step(L))
     if unresolved:
         warnings.warn(
             f"{len(unresolved)} scale(s) sampled below {MIN_SAMPLES_PER_CYCLE} points "
@@ -305,11 +339,15 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
             RuntimeWarning,
         )
 
-    coeffs = np.empty((f.n, scales.size), dtype=complex)
+    index = np.arange(L // ext.spans + 1) % L
+    coeffs = np.empty((index.size, scales.size), dtype=complex)
     for j, omega in enumerate(scales):
-        row = np.fft.ifft(F * _periodised_response(w, omega, h, P))
-        coeffs[:, j] = ext.restrict(row) * np.sqrt(omega)
-    return Scalogram(f.times(), scales, coeffs, w, extension, unresolved)
+        k, H = responses[j]
+        Z = np.zeros(L, dtype=complex)
+        np.add.at(Z, signed[j] % L, F[k] * H)
+        coeffs[:, j] = np.fft.ifft(Z)[index] * (np.sqrt(omega) * (L / P))
+    return Scalogram(np.linspace(f.t0, f.t1, index.size), scales, coeffs, w, extension,
+                     unresolved)
 
 
 def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
@@ -328,10 +366,9 @@ def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: 
     P = pair.n - 1
     alpha = (pair.theta[-1] - pair.theta[0]) / P
     Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
-    H = _periodised_response(w, omega, h, P, shift=alpha * P / (2.0 * np.pi))
-    k = np.flatnonzero(H)
+    k, H = _periodised_response(w, omega, h, P, shift=alpha * P / (2.0 * np.pi))
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
-    total = np.dot(Y[k] * H[k], carrier) / P
+    total = np.dot(Y[k] * H, carrier) / P
     return complex(np.exp(-1j * alpha * it) * total * np.sqrt(omega))
 
 

@@ -11,6 +11,7 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
                       ridges_ambiguous)
 from sparsetf.ridge import (MERGE_GAP_FRACTION, MIN_CURVE_FRACTION, _merge_fragments,
                             _refined_peaks, _unwrap_along)
+from sparsetf.wavelet import _folded_cwt
 
 from conftest import tone, tone_pair
 
@@ -304,7 +305,43 @@ class TestLink:
             assert np.array_equal(a.times, b.times) and np.array_equal(a.phase, b.phase)
 
 
+class TestCoarseRidges:
+    @pytest.mark.parametrize("seed", [60_000, 60_001, 60_002, 60_003])
+    @pytest.mark.parametrize("voices,floor", [(16, None), (64, 0.12)],
+                             ids=["pursuit-seeding", "criterion-07"])
+    def test_coarse_curves_follow_the_full_grid_curves(self, seed, voices, floor):
+        m = 2 + seed % 2
+        f, _ = gen_random_well_separated(m, 2.0, 0.05, seed, 8192 if m == 2 else 16384,
+                                         base_freq=64)
+        w = make_wavelet(0.15)
+        scales = default_scales(f, w, voices=voices)
+        coarse = extract_ridges(_folded_cwt(f, w, scales), floor)
+        full = extract_ridges(cwt(f, w, scales), floor)
+        assert len(coarse) == len(full) == m
+        step = float(np.max(np.log(scales[1:] / scales[:-1])))
+        for c, g in zip(coarse, full):
+            # P = n-1 is odd, so the coarse times fall between full-grid samples
+            inside = (c.times >= g.times[0]) & (c.times <= g.times[-1])
+            assert np.count_nonzero(inside) >= 0.95 * c.n
+            dev = np.abs(np.log(c.omega[inside] / np.interp(c.times[inside], g.times, g.omega)))
+            assert np.max(dev) <= step
+
+
 class TestRecover:
+    def test_seeding_transform_is_coarse(self, monkeypatch):
+        import sparsetf.ridge as ridge
+
+        f, _ = gen_random_well_separated(3, 2.0, 0.05, 60_001, 16384, base_freq=64)
+        seen = []
+
+        def spy(s, floor=None):
+            seen.append(s.times.size)
+            return extract_ridges(s, floor)
+
+        monkeypatch.setattr(ridge, "extract_ridges", spy)
+        assert len(recover_components(f, make_wavelet(0.15), voices=16)) == 3
+        assert len(seen) == 1 and seen[0] - 1 <= f.n // 4
+
     def test_pure_tone_amplitude_and_frequency(self):
         f = tone(64.0, 4096, amp=2.0)
         pairs = recover_components(f, make_wavelet(0.2))

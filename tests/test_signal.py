@@ -9,7 +9,7 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, PhaseP
                       gen_crossing_example, gen_mode_mixing_example, inner_product,
                       reconstruct)
 
-from sparsetf.signal import extend_span
+from sparsetf.signal import extend_span, moving_average
 
 from conftest import tone, tone_pair
 
@@ -185,3 +185,33 @@ class TestExtendSpan:
     def test_unknown_mode_raises(self):
         with pytest.raises(InvalidInputError):
             extend_span(np.zeros(8), "mirorr")
+
+
+def moving_average_reference(x: np.ndarray, window: int) -> np.ndarray:
+    """The centred mean by direct convolution of the evenly reflected samples."""
+    window = max(1, min(window, 2 * (x.size // 2) - 1))
+    if window % 2 == 0:
+        window += 1
+    if window <= 1:
+        return x.copy()
+    half = window // 2
+    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
+    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+
+
+class TestMovingAverage:
+    @settings(max_examples=200, deadline=None)
+    @given(st_.integers(2, 5000), st_.integers(1, 12000), st_.integers(0, 2**32 - 1),
+           st_.floats(-6, 6), st_.floats(-1e3, 1e3))
+    def test_matches_the_convolution_reference(self, n, window, seed, log_scale, offset):
+        # windows up to about twice the span exercise the clamp to the span
+        x = offset + 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+        got, want = moving_average(x, window), moving_average_reference(x, window)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n,window", [(2, 5), (3, 3), (4, 100), (9, 8), (10, 9)])
+    def test_clamps_the_window_to_the_span(self, n, window):
+        x = np.random.default_rng(n).standard_normal(n)
+        assert_allclose(moving_average(x, window), moving_average_reference(x, window),
+                        rtol=0, atol=1e-14)

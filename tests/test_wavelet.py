@@ -8,7 +8,8 @@ from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bs
                       concentration_error, cwt, default_scales,
                       gen_random_well_separated, make_wavelet, moments)
 from sparsetf.signal import extend_span
-from sparsetf.wavelet import _moment_integrands, _transform_complex_mode
+from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _moment_integrands,
+                              _transform_complex_mode)
 
 from conftest import tone, tone_pair
 
@@ -274,6 +275,113 @@ class TestTransform:
         f = SampledSignal(0.0, 1.0, np.zeros(256))
         with pytest.raises(InvalidInputError):
             default_scales(f, make_wavelet(0.2))
+
+
+def signed_frequency_sum(f: SampledSignal, w, scales, L: int) -> np.ndarray:
+    """W at the L points m = c*P/L per period as the direct sum over all bins.
+
+    ``W(m) = sqrt(omega)/P * sum_k F[k] psi_hat(-2*pi*omega*s_k/(P*h)) exp(2*pi*i*s_k*m/P)``
+    with s_k the signed frequency of bin k; for scales resolved on the
+    grid only the alias l = 1 of the periodised response is non-zero.
+    """
+    ext = extend_span(f.values, "periodic")
+    P = ext.base.size
+    F = np.fft.fft(ext.base)
+    s_k = np.fft.fftfreq(P, 1.0 / P)
+    m = np.arange(L + 1) * (P / L)
+    out = np.empty((L + 1, scales.size), dtype=complex)
+    for j, omega in enumerate(scales):
+        H = w.freq_response(-2 * np.pi * omega * s_k / (P * f.dt))
+        k = np.flatnonzero(H)
+        out[:, j] = np.exp(2j * np.pi * np.outer(m, s_k[k]) / P) @ (F[k] * H[k])
+        out[:, j] *= np.sqrt(omega) / P
+    return out
+
+
+class TestFoldedTransform:
+    @staticmethod
+    def family(m: int, n: int, seed: int = 1):
+        f, _ = gen_random_well_separated(m, 2.0, 0.05, seed, n, base_freq=64)
+        w = make_wavelet(0.15)
+        return f, w, default_scales(f, w, voices=16)
+
+    @pytest.mark.parametrize("extension,n,L", [
+        ("periodic", 8193, 2048), ("periodic", 8193, 4096), ("mirror", 8193, 4096),
+    ])
+    def test_equals_the_full_grid_where_L_divides_P(self, extension, n, L):
+        f, w, scales = self.family(2, n)
+        full = cwt(f, w, scales, extension)
+        P = extend_span(f.values, extension).base.size
+        coarse = _folded_cwt(f, w, scales, extension, L)
+        assert coarse.coeffs.shape[0] == L // (P // (n - 1)) + 1
+        assert_allclose(coarse.times, full.times[:: P // L], rtol=0, atol=1e-12)
+        rel = np.max(np.abs(coarse.coeffs - full.coeffs[:: P // L]))
+        assert rel <= 1e-12 * np.max(np.abs(full.coeffs))
+
+    @pytest.mark.parametrize("L", [2048, 4096])
+    def test_equals_the_signed_frequency_sum_between_samples(self, L):
+        # P = 8191 is prime, so every coarse time but t0 and t1 lies between
+        # two samples; folding unsigned bins would turn each phase there
+        f, w, scales = self.family(2, 8192)
+        scales = scales[:: max(1, scales.size // 6)]
+        coarse = _folded_cwt(f, w, scales, "periodic", L)
+        want = signed_frequency_sum(f, w, scales, L)
+        assert np.max(np.abs(coarse.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_direct_quadrature_between_samples(self):
+        # n = 1022: P = 1021 is prime; the quadrature at shifted kernels
+        # checks the fold against the transform's definition
+        t = np.linspace(0, 1, 1022)
+        f = SampledSignal(0, 1, np.cos(2 * np.pi * 40 * t) + 0.5 * np.cos(2 * np.pi * 13 * t + 0.4))
+        w = make_wavelet(0.25)
+        scales = default_scales(f, w, voices=6)
+        L = 512
+        coarse = _folded_cwt(f, w, scales, "periodic", L).coeffs
+        P = f.n - 1
+        h = f.dt
+        cs, js = np.arange(0, L + 1, 7), np.arange(0, scales.size, 3)
+        want = np.empty((cs.size, js.size), dtype=complex)
+        for b, j in enumerate(js):
+            omega = scales[j]
+            Q = int(np.ceil(tail_cutoff(w) * omega / h))
+            qs = np.arange(-Q, Q + 2)
+            for a, c in enumerate(cs):
+                m0, frac = divmod(c * P, L)
+                kern = w.time_domain((qs - frac / L) * (h / omega))
+                want[a, b] = np.dot(f.values[:-1][(m0 + qs) % P], kern) * h / np.sqrt(omega)
+        got = coarse[np.ix_(cs, js)]
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_mirror_grid_ends_exactly_at_t1(self):
+        t = np.linspace(0.3, 1.7, 5000)
+        f = SampledSignal(0.3, 1.7, np.cos(2 * np.pi * 20 * t))
+        w = make_wavelet(0.2)
+        s = _folded_cwt(f, w, default_scales(f, w, voices=8), "mirror")
+        L = 2 * (s.times.size - 1)
+        assert L < 2 * (f.n - 1) and L & (L - 1) == 0
+        assert s.times[0] == f.t0 and s.times[-1] == f.t1
+        assert np.array_equal(s.times, np.linspace(f.t0, f.t1, L // 2 + 1))
+
+    @pytest.mark.parametrize("extension", ["periodic", "mirror"])
+    def test_full_grid_fallback_is_cwt(self, extension):
+        f, w, scales = self.family(2, 8192)
+        full = cwt(f, w, scales, extension)
+        for L in (2 * f.n, 2**40):
+            s = _folded_cwt(f, w, scales, extension, L)
+            assert np.array_equal(s.coeffs, full.coeffs) and np.array_equal(s.times, full.times)
+        # a scale that needs the full grid to be resolved
+        tight = np.array([1.05 * MIN_SAMPLES_PER_CYCLE * f.dt / (2 * np.pi), *scales])
+        s = _folded_cwt(f, w, tight, extension)
+        assert np.array_equal(s.coeffs, cwt(f, w, tight, extension).coeffs)
+
+    def test_auto_step_resolves_the_smallest_scale(self):
+        f, w, scales = self.family(3, 16384)
+        s = _folded_cwt(f, w, scales)
+        L = s.times.size - 1
+        assert L & (L - 1) == 0 and L < f.n - 1
+        assert not s.unresolved_scales
+        assert 2 * np.pi * scales[0] >= MIN_SAMPLES_PER_CYCLE * (s.times[1] - s.times[0])
+        assert 2 * np.pi * scales[0] < MIN_SAMPLES_PER_CYCLE * 2 * (s.times[1] - s.times[0])
 
 
 class TestScalogram:
