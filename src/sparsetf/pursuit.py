@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
 
 from .errors import InvalidInputError
@@ -106,35 +107,35 @@ def _lowpass_sharp(x: np.ndarray, cutoff_cycles: float, extension: str) -> np.nd
     The input covers one span sampled at n points including the right
     endpoint.  Periodic mode treats it as one period; mirror mode reflects
     it evenly first, which removes the wrap-around jump for non-periodic
-    spans.
+    spans.  Complex input keeps the signed bins with |k| below the cutoff.
     """
     ext = extend_span(x, extension)
-    X = np.fft.rfft(ext.base)
+    size = ext.base.size
+    real = not np.iscomplexobj(x)
+    X = np.fft.rfft(ext.base) if real else np.fft.fft(ext.base)
     k = np.arange(X.size)
-    X[k >= ext.spans * cutoff_cycles] = 0.0
-    return ext.restrict(np.fft.irfft(X, ext.base.size))
+    X[np.minimum(k, size - k) >= ext.spans * cutoff_cycles] = 0.0
+    return ext.restrict(np.fft.irfft(X, size) if real else np.fft.ifft(X))
 
 
-def _demodulate(t: np.ndarray, r: CubicSpline, theta: np.ndarray, eta: float,
+def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
                 extension: str = "periodic"):
     """In-phase/quadrature envelopes of r against the carrier cos(theta).
 
-    ``r`` is the cubic spline through r's samples at ``t``, built once per
-    solve.  Interpolates r onto a uniform phase grid, low-passes 2*r*cos and
-    2*r*sin below ``eta`` times the carrier frequency, and maps the slow
-    envelopes back to the time grid.  For r = A*cos(theta + phi) with slow
-    A, phi this returns (A*cos(phi), -A*sin(phi)).
+    Interpolates r, as a function of the monotone phase, onto a uniform phase
+    grid whose period has a fast FFT length (n-1 itself is often prime, e.g.
+    8191), low-passes 2*r*exp(i*s) below ``eta`` times the carrier frequency
+    and maps the slow complex envelope back to the time grid: its real part
+    is the in-phase envelope, its imaginary part the quadrature one.  For
+    r = A*cos(theta + phi) with slow A, phi this returns (A*cos(phi),
+    -A*sin(phi)).
     """
-    s = np.linspace(theta[0], theta[-1], t.size)
-    t_of_s = np.clip(CubicSpline(theta, t)(s), t[0], t[-1])
-    r_of_s = r(t_of_s)
+    s = np.linspace(theta[0], theta[-1], next_fast_len(theta.size - 1) + 1)
+    r_of_s = CubicSpline(theta, r_values)(s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
-    cutoff = eta * cycles
-    a_s = _lowpass_sharp(2.0 * r_of_s * np.cos(s), cutoff, extension)
-    b_s = _lowpass_sharp(2.0 * r_of_s * np.sin(s), cutoff, extension)
-    a_t = np.interp(theta, s, a_s)
-    b_t = np.interp(theta, s, b_s)
-    return a_t, b_t
+    z = _lowpass_sharp(2.0 * r_of_s * np.exp(1j * s), eta * cycles, extension)
+    ab = np.interp(theta, s, z)
+    return ab.real, ab.imag
 
 
 def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
@@ -169,10 +170,10 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
         raise InvalidInputError("theta_init must match the signal grid")
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInputError("theta_init must be finite")
     if np.any(np.diff(theta) <= 0):
         raise InvalidInputError("theta_init must be strictly increasing")
-    t = r.times()
-    r_spline = CubicSpline(t, r.values)
     h = r.dt
     a_floor = max(1e-12 * float(np.max(np.abs(r.values))), np.finfo(float).tiny)
 
@@ -192,7 +193,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
         iterations += 1
         eta = stages[stage]
         at_full_bandwidth = stage == len(stages) - 1
-        a_t, b_t = _demodulate(t, r_spline, theta, eta, cfg.extension)
+        a_t, b_t = _demodulate(r.values, theta, eta, cfg.extension)
         amp = np.hypot(a_t, b_t)
         phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
         rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
@@ -256,18 +257,16 @@ def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitCo
     Halves the envelope bandwidth until the pair passes the slow-variation
     check; falls back to a constant envelope, which always does.
     """
-    t = r.times()
-    r_spline = CubicSpline(t, r.values)
     a_floor = max(1e-12 * float(np.max(np.abs(r.values))), np.finfo(float).tiny)
     cutoff = cfg.lowpass_fraction / 8.0
     for _ in range(8):
-        a_t, _ = _demodulate(t, r_spline, theta, cutoff, cfg.extension)
+        a_t, _ = _demodulate(r.values, theta, cutoff, cfg.extension)
         amp = np.maximum(a_t, a_floor)
         pair = PhasePair(r.t0, r.t1, amp, theta)
         if check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
             return pair, p2_objective(r, pair)
         cutoff *= 0.5
-    a_t, _ = _demodulate(t, r_spline, theta, cfg.lowpass_fraction / 8.0, cfg.extension)
+    a_t, _ = _demodulate(r.values, theta, cfg.lowpass_fraction / 8.0, cfg.extension)
     amp = np.full(r.n, max(float(np.mean(a_t)), a_floor))
     pair = PhasePair(r.t0, r.t1, amp, theta)
     return pair, p2_objective(r, pair)

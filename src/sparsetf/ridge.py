@@ -278,7 +278,10 @@ def _deconvolve_envelope(amp: np.ndarray, mean_freq: float, w: BSplineWavelet,
     ext = extend_span(amp, extension)
     A = np.fft.rfft(ext.base)
     nu = np.arange(A.size) / (ext.spans * mean_freq)  # relative frequency offset nu/f
-    H = 0.5 * (w.freq_response(1.0 + nu) + w.freq_response(1.0 - nu))
+    # psi_hat(1 +- nu) is exactly 0 from the first bin past nu = delta on
+    band = nu[: np.searchsorted(nu, w.delta) + 1]
+    H = np.zeros(A.size)
+    H[: band.size] = 0.5 * (w.freq_response(1.0 + band) + w.freq_response(1.0 - band))
     A /= np.maximum(H, ENVELOPE_GAIN_FLOOR)
     return ext.restrict(np.fft.irfft(A, ext.base.size))
 

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 
 from sparsetf import (Decomposition, DictionaryParams, InvalidInputError,
                       PursuitConfig, SampledSignal, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
-from sparsetf.pursuit import _segmentwise_extract, _stitch_segments
+from sparsetf.pursuit import (_demodulate, _lowpass_sharp, _segmentwise_extract,
+                              _stitch_segments)
 
 from conftest import tone_pair
 
@@ -85,6 +87,63 @@ class TestSolve:
         r = SampledSignal(0, 1, np.zeros(n))
         with pytest.raises(InvalidInputError):
             solve_p2(r, np.zeros(n), default_cfg())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_init_raises(self, bad):
+        # both pass the monotonicity check: every comparison with NaN is
+        # False, and a last step to inf is positive
+        n = 512
+        t = np.linspace(0, 1, n)
+        r = SampledSignal(0, 1, np.cos(2 * np.pi * 10 * t))
+        theta = 2 * np.pi * 10 * t
+        theta[-1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            solve_p2(r, theta, default_cfg())
+        with pytest.raises(InvalidInputError, match="finite"):
+            matching_pursuit(r, default_cfg(init=theta))
+
+
+def demodulate_reference(t, r_values, theta, eta, extension="periodic"):
+    """The n-point phase grid, inverse-phase spline and two real low-passes."""
+    s = np.linspace(theta[0], theta[-1], t.size)
+    t_of_s = np.clip(CubicSpline(theta, t)(s), t[0], t[-1])
+    r_of_s = CubicSpline(t, r_values)(t_of_s)
+    cutoff = eta * (theta[-1] - theta[0]) / (2.0 * np.pi)
+    a_s = _lowpass_sharp(2.0 * r_of_s * np.cos(s), cutoff, extension)
+    b_s = _lowpass_sharp(2.0 * r_of_s * np.sin(s), cutoff, extension)
+    return np.interp(theta, s, a_s), np.interp(theta, s, b_s)
+
+
+class TestDemodulate:
+    @pytest.mark.parametrize("extension", ["periodic", "mirror"])
+    @pytest.mark.parametrize("n", [4097, 8192, 16384])
+    def test_matches_reference(self, n, extension):
+        # 8192 and 16384 resample onto a longer fast-length phase grid; at
+        # 4097 the grid length n - 1 = 4096 is already fast
+        t = np.linspace(0, 1, n)
+        theta = 2 * np.pi * (40 * t + 10 * t**2)
+        r = (1.5 * (1 + 0.2 * np.sin(2 * np.pi * t)) * np.cos(theta + 0.3)
+             + 0.5 * np.cos(2 * np.pi * 130 * t))
+        for eta in (0.5 / 8, 0.5):
+            a, b = _demodulate(r, theta, eta, extension)
+            a_ref, b_ref = demodulate_reference(t, r, theta, eta, extension)
+            tol = 1e-5 * np.max(np.abs(r))
+            assert np.max(np.abs(a - a_ref)) < tol
+            assert np.max(np.abs(b - b_ref)) < tol
+
+    @pytest.mark.parametrize("extension, tol", [("periodic", 1e-5), ("mirror", 1e-2)])
+    def test_in_phase_and_quadrature_envelopes(self, extension, tol):
+        # r = A cos(theta + phi) plus a mode at three times the carrier gives
+        # (A cos phi, -A sin phi); the mirror extension's kink rings near the ends
+        n = 8192
+        t = np.linspace(0, 1, n)
+        theta = 2 * np.pi * (40 * t + 10 * t**2)
+        amp, phi = 1.5, 0.7
+        r = amp * np.cos(theta + phi) + 0.8 * np.cos(3 * theta)
+        a, b = _demodulate(r, theta, 0.5, extension)
+        inner = slice(n // 4, 3 * n // 4)
+        assert np.max(np.abs(a[inner] - amp * np.cos(phi))) < tol * amp
+        assert np.max(np.abs(b[inner] + amp * np.sin(phi))) < tol * amp
 
 
 def partition_reference(tp, d):

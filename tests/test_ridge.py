@@ -9,8 +9,10 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
                       extract_ridges, gen_crossing_example, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
-from sparsetf.ridge import (MERGE_GAP_FRACTION, MIN_CURVE_FRACTION, _merge_fragments,
-                            _refined_peaks, _unwrap_along)
+from sparsetf.ridge import (ENVELOPE_GAIN_FLOOR, MERGE_GAP_FRACTION, MIN_CURVE_FRACTION,
+                            _deconvolve_envelope, _merge_fragments, _refined_peaks,
+                            _unwrap_along)
+from sparsetf.signal import extend_span
 from sparsetf.wavelet import _folded_cwt
 
 from conftest import tone, tone_pair
@@ -327,7 +329,30 @@ class TestCoarseRidges:
             assert np.max(dev) <= step
 
 
+def deconvolve_full_band(amp, mean_freq, w, extension):
+    """The band response evaluated on every bin."""
+    ext = extend_span(amp, extension)
+    A = np.fft.rfft(ext.base)
+    nu = np.arange(A.size) / (ext.spans * mean_freq)
+    H = 0.5 * (w.freq_response(1.0 + nu) + w.freq_response(1.0 - nu))
+    A /= np.maximum(H, ENVELOPE_GAIN_FLOOR)
+    return ext.restrict(np.fft.irfft(A, ext.base.size))
+
+
 class TestRecover:
+    @pytest.mark.parametrize("extension", ["periodic", "mirror"])
+    def test_deconvolution_band_is_exact(self, extension):
+        # psi_hat is exactly 0 off its support, so evaluating it only on the
+        # bins up to the first one past delta leaves the result bit-identical
+        rng = np.random.default_rng(7)
+        for n, mean_freq, delta in [(4096, 24.3, 0.2), (8192, 61.7, 0.1),
+                                    (16384, 150.0, 0.35), (1000, 5.0, 0.3)]:
+            t = np.linspace(0, 1, n)
+            amp = 1.5 + 0.3 * np.sin(2 * np.pi * 3 * t) + 0.01 * rng.standard_normal(n)
+            w = make_wavelet(delta)
+            assert np.array_equal(_deconvolve_envelope(amp, mean_freq, w, extension),
+                                  deconvolve_full_band(amp, mean_freq, w, extension))
+
     def test_seeding_transform_is_coarse(self, monkeypatch):
         import sparsetf.ridge as ridge
 
