@@ -9,9 +9,12 @@ the resolved configuration is echoed into the run manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+from dataclasses import fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from .pursuit import PursuitConfig, matching_pursuit, p2_objective, partition_do
 from .ridge import compare_decompositions
 from .separation import (check_scale_separation, check_well_separated,
                          verify_cross_term_bound, verify_norm_equivalence)
-from .signal import DictionaryParams
+from .signal import DictionaryParams, SampledSignal, reconstruct
 from .synth import (gen_crossing_example, gen_mode_mixing_example,
                     gen_random_well_separated)
 from .wavelet import cwt, default_scales, make_wavelet
@@ -33,66 +36,50 @@ EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
-CONFIG_DEFAULTS = {
-    "epsilon": 0.05,
-    "d": 2.0,
-    "m_prime": 2.0,
-    "epsilon0": None,  # adaptive: max(1e-2, 5% of the input signal norm)
-    "max_components": 8,
-    "inner_max_iter": 50,
-    "inner_tol": 1e-6,
-    "lowpass_fraction": 0.5,
-    "init": "ridge",
-    "delta": 0.2,
-    "voices": 32,
-    "extension": "periodic",
-}
+#: Config keys and their defaults, in manifest order: the ``PursuitConfig``
+#: defaults except where the command line departs from them.  ``epsilon0``
+#: None is adaptive, ``max(1e-2, 0.05 ||f||)`` (see ``_settings``).
+CONFIG_DEFAULTS = {"epsilon": 0.05, "d": 2.0, "epsilon0": None,
+                   **{f.name: f.default for f in fields(PursuitConfig) if f.name != "params"},
+                   "inner_tol": 1e-6}
+_PARAM_KEYS = ("epsilon", "d", "epsilon0")
 
 
-def _resolve_config(config_path, args) -> dict:
+def _typed(key, value, default):
+    """A numeric setting as its default's type (``epsilon0``: float); others as given."""
+    kind = float if key == "epsilon0" else type(default)
+    if value is None or kind not in (int, float):
+        return value
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, (str, bool)) and kind(value) == value:  # not 16.5 or nan
+            return kind(value)
+    raise InvalidInputError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+
+
+def _settings(args, signal: SampledSignal | None = None) -> dict:
+    """Flags over the config file over ``CONFIG_DEFAULTS``, each value typed.
+
+    An unset ``epsilon0`` is resolved against ``signal`` when one is given.
+    """
     cfg = dict(CONFIG_DEFAULTS)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+    path = getattr(args, "config", None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{config_path}: line {exc.lineno}: {exc.msg}") from None
+                raise InvalidInputError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        if not isinstance(file_cfg, dict):
+            raise InvalidInputError(f"{path}: expected a JSON object of config keys")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise InvalidInputError(f"{config_path}: unknown config keys {sorted(unknown)}")
+            raise InvalidInputError(f"{path}: unknown config keys {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in ("epsilon", "d", "epsilon0", "delta", "voices"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    ext = _extension_from_args(args)
-    if ext is not None:
-        cfg["extension"] = ext
+    cfg.update({key: getattr(args, key) for key in cfg if getattr(args, key, None) is not None})
+    cfg = {key: _typed(key, val, CONFIG_DEFAULTS[key]) for key, val in cfg.items()}
+    if cfg["epsilon0"] is None and signal is not None:
+        cfg["epsilon0"] = max(1e-2, 0.05 * signal.norm())
     return cfg
-
-
-def _extension_from_args(args):
-    if getattr(args, "mirror", False):
-        return "mirror"
-    if getattr(args, "periodic", False):
-        return "periodic"
-    return None
-
-
-def _pursuit_config(cfg: dict) -> PursuitConfig:
-    params = DictionaryParams(epsilon=cfg["epsilon"], d=cfg["d"],
-                              m_prime=cfg["m_prime"], epsilon0=cfg["epsilon0"])
-    return PursuitConfig(
-        params=params,
-        max_components=int(cfg["max_components"]),
-        inner_max_iter=int(cfg["inner_max_iter"]),
-        inner_tol=float(cfg["inner_tol"]),
-        lowpass_fraction=float(cfg["lowpass_fraction"]),
-        init=cfg["init"],
-        delta=float(cfg["delta"]),
-        voices=int(cfg["voices"]),
-        extension=cfg["extension"],
-    )
 
 
 def cmd_synth(args) -> int:
@@ -112,7 +99,7 @@ def cmd_synth(args) -> int:
               {"a": spurious.a.tolist(), "theta": spurious.theta.tolist()})
         config = {"example": "mode-mixing", "n": f.n}
     else:
-        d = args.d if args.d is not None else 2.0
+        d = _settings(args)["d"]
         f, gt = gen_random_well_separated(args.m, d, args.eps_target, args.seed,
                                           args.n or 4096, noise_amplitude=args.noise)
         sio.write_signal_csv(out / "signal.csv", f)
@@ -134,10 +121,9 @@ def cmd_decompose(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     f = sio.read_signal_csv(args.signal)
-    cfg_dict = _resolve_config(args.config, args)
-    if cfg_dict["epsilon0"] is None:
-        cfg_dict["epsilon0"] = max(1e-2, 0.05 * f.norm())
-    cfg = _pursuit_config(cfg_dict)
+    cfg_dict = _settings(args, f)
+    params = DictionaryParams(cfg_dict["epsilon"], cfg_dict["d"], epsilon0=cfg_dict["epsilon0"])
+    cfg = PursuitConfig(params, **{k: v for k, v in cfg_dict.items() if k not in _PARAM_KEYS})
     decomp = matching_pursuit(f, cfg)
     sio.write_decomposition_json(out / "decomposition.json", decomp)
     t = f.times()
@@ -167,9 +153,8 @@ def cmd_verify(args) -> int:
     f = sio.read_signal_csv(args.signal)
     if not f.same_grid(decomp.residual):
         raise InvalidInputError("signal and decomposition grids differ")
-    eps = args.epsilon if args.epsilon is not None else CONFIG_DEFAULTS["epsilon"]
-    d = args.d if args.d is not None else CONFIG_DEFAULTS["d"]
-    eps0 = args.epsilon0 if args.epsilon0 is not None else max(1e-2, 0.05 * f.norm())
+    cfg = _settings(args, f)
+    eps, d, eps0 = (cfg[key] for key in _PARAM_KEYS)
 
     rows = []
     ok = True
@@ -189,24 +174,16 @@ def cmd_verify(args) -> int:
         rows.append(("well separated", f"d_min={pw.d_min:.4g} vs d={d}", bool(pw.meets_d)))
         ok &= bool(pw.meets_d)
         order = np.argsort([float(np.mean(c.theta_prime())) for c in comps])
-        for a_idx in range(len(order)):
-            for b_idx in range(a_idx + 1, len(order)):
-                slow, fast = comps[order[a_idx]], comps[order[b_idx]]
-                try:
-                    ct = verify_cross_term_bound(slow, fast)
-                    rows.append((f"cross term [{order[a_idx]+1},{order[b_idx]+1}]",
-                                 f"|<.,.>|={ct.value:.3e} bound={ct.bound:.3e}", ct.holds))
-                    ok &= ct.holds
-                except InvalidInputError as exc:
-                    rows.append((f"cross term [{order[a_idx]+1},{order[b_idx]+1}]",
-                                 str(exc), False))
-                    ok = False
-    if comps:
-        from .signal import reconstruct
-
-        fit = reconstruct(comps).values
-    else:
-        fit = np.zeros(f.n)
+        for slow, fast in combinations(order, 2):
+            name = f"cross term [{slow + 1},{fast + 1}]"
+            try:
+                ct = verify_cross_term_bound(comps[slow], comps[fast])
+                rows.append((name, f"|<.,.>|={ct.value:.3e} bound={ct.bound:.3e}", ct.holds))
+                ok &= ct.holds
+            except InvalidInputError as exc:
+                rows.append((name, str(exc), False))
+                ok = False
+    fit = reconstruct(comps).values if comps else np.zeros(f.n)
     misfit = float(np.sqrt(np.trapezoid((f.values - fit) ** 2, dx=f.dt)))
     resid_ok = misfit < eps0
     rows.append(("residual below threshold",
@@ -223,10 +200,10 @@ def cmd_cwt(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     f = sio.read_signal_csv(args.signal)
-    w = make_wavelet(args.delta if args.delta is not None else CONFIG_DEFAULTS["delta"])
-    voices = args.voices if args.voices is not None else CONFIG_DEFAULTS["voices"]
+    cfg = _settings(args)
+    w = make_wavelet(cfg["delta"])
+    voices, ext = cfg["voices"], cfg["extension"]
     scales = default_scales(f, w, voices=voices, fmin=args.fmin, fmax=args.fmax)
-    ext = _extension_from_args(args) or "periodic"
     s = cwt(f, w, scales, extension=ext)
     sio.write_scalogram_json(out / "scalogram.json", s)
     svg.heatmap(out / "scalogram.svg", s.times, s.scales, s.magnitude(),
@@ -259,7 +236,7 @@ def cmd_compare(args) -> int:
 
 def cmd_partition(args) -> int:
     decomp = sio.read_decomposition_json(args.decomposition)
-    d = args.d if args.d is not None else CONFIG_DEFAULTS["d"]
+    d = _settings(args)["d"]
     if not decomp.components:
         print("no components")
         return EXIT_OK
@@ -318,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--voices", type=int, default=None, help="scales per octave")
         if extension:
             g = sp.add_mutually_exclusive_group()
-            g.add_argument("--periodic", action="store_true", help="periodic extension")
-            g.add_argument("--mirror", action="store_true", help="mirror extension")
+            for ext in ("periodic", "mirror"):
+                g.add_argument(f"--{ext}", dest="extension", action="store_const", const=ext,
+                               help=f"{ext} extension")
 
     sp = sub.add_parser("synth", help="generate benchmark signals")
     sp.add_argument("--example", choices=["crossing", "mode-mixing", "random"], required=True)

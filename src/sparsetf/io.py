@@ -30,7 +30,6 @@ __all__ = [
     "read_decomposition_json",
     "scalogram_to_dict",
     "write_scalogram_json",
-    "ridge_curves_to_dict",
     "ground_truth_to_dict",
     "write_run_manifest",
 ]
@@ -111,8 +110,10 @@ def decomposition_from_dict(obj: dict) -> Decomposition:
             for c in obj["components"]
         ]
         residual = SampledSignal(t0, t1, np.asarray(obj["residual"], float))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidInputError(f"malformed decomposition JSON: missing {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"malformed decomposition JSON: {exc}") from None
     if any(c.n != n for c in comps) or residual.n != n:
         raise InvalidInputError("decomposition arrays disagree with grid length")
     return Decomposition(tuple(comps), residual)
@@ -150,20 +151,6 @@ def scalogram_to_dict(s: Scalogram) -> dict:
 def write_scalogram_json(path, s: Scalogram):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scalogram_to_dict(s), fh)
-
-
-def ridge_curves_to_dict(curves) -> dict:
-    return {
-        "curves": [
-            {
-                "times": c.times.tolist(),
-                "omega": c.omega.tolist(),
-                "magnitude": c.magnitude.tolist(),
-                "phase": c.phase.tolist(),
-            }
-            for c in curves
-        ]
-    }
 
 
 def ground_truth_to_dict(g: GroundTruth) -> dict:

@@ -40,24 +40,26 @@ __all__ = [
 #: multiple before being rejected (residual carry-over inflates the measured
 #: metrics of otherwise sound candidates).
 ADMISSIBILITY_MARGIN = 3.0
+#: Inner-solver iteration cap.
+INNER_MAX_ITER = 50
+#: Sharp spectral cutoff for envelope extraction, relative to the carrier
+#: frequency in phase coordinates.
+LOWPASS_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class PursuitConfig:
     """Knobs for the pursuit and its inner solver.
 
-    ``lowpass_fraction`` is the sharp spectral cutoff for envelope extraction,
-    relative to the carrier frequency in phase coordinates; ``delta`` is the
-    wavelet half-bandwidth used for ridge seeding and as the frequency floor
-    factor; ``init`` is ``"ridge"`` or an explicit initial phase array used
-    for the first extraction.
+    ``inner_tol`` ends the inner solve once the largest phase correction is
+    below it (in cycles); ``delta`` is the wavelet half-bandwidth used for
+    ridge seeding and as the frequency floor factor; ``init`` is ``"ridge"``
+    or an explicit initial phase array used for the first extraction.
     """
 
     params: DictionaryParams
     max_components: int = 8
-    inner_max_iter: int = 50
     inner_tol: float = 1e-4
-    lowpass_fraction: float = 0.5
     init: object = "ridge"
     delta: float = 0.2
     voices: int = 32
@@ -68,8 +70,6 @@ class PursuitConfig:
             raise InvalidInputError("max_components must be >= 1")
         if not self.inner_tol > 0:
             raise InvalidInputError("inner_tol must be positive")
-        if not 0 < self.lowpass_fraction < 1:
-            raise InvalidInputError("lowpass_fraction must lie in (0,1)")
         if not 0 < self.delta < 1:
             raise InvalidInputError("delta must lie in (0,1)")
         if isinstance(self.init, str) and self.init != "ridge":
@@ -186,10 +186,9 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     consecutive_bad = 0
     # cutoff continuation: stiff first passes lock the phase onto the smooth
     # minimizer before the full envelope bandwidth opens up
-    stages = [cfg.lowpass_fraction / 8.0, cfg.lowpass_fraction / 4.0,
-              cfg.lowpass_fraction / 2.0, cfg.lowpass_fraction]
+    stages = [LOWPASS_FRACTION / 2.0**k for k in (3, 2, 1, 0)]
     stage = 0
-    for _ in range(cfg.inner_max_iter):
+    for _ in range(INNER_MAX_ITER):
         iterations += 1
         eta = stages[stage]
         at_full_bandwidth = stage == len(stages) - 1
@@ -225,7 +224,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     if best_pair is None:
         # no admissible improving step exists; report the best admissible
         # envelope at the initial phase (progressively tamed until it passes)
-        best_pair, best_obj = _admissible_envelope_fit(r, theta, cfg)
+        best_pair, best_obj = _admissible_envelope_fit(r, theta, cfg, a_floor)
         converged = False
     return P2Result(best_pair, float(best_obj), iterations, converged, tuple(history))
 
@@ -251,24 +250,24 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
     return None
 
 
-def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitConfig):
+def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitConfig,
+                             a_floor: float):
     """Envelope-only fit at a fixed phase, low-passed until admissible.
 
     Halves the envelope bandwidth until the pair passes the slow-variation
-    check; falls back to a constant envelope, which always does.
+    check; falls back to the mean of the widest-band envelope as a constant
+    envelope, which always passes.
     """
-    a_floor = max(1e-12 * float(np.max(np.abs(r.values))), np.finfo(float).tiny)
-    cutoff = cfg.lowpass_fraction / 8.0
-    for _ in range(8):
+    cutoff = LOWPASS_FRACTION / 8.0
+    for k in range(8):
         a_t, _ = _demodulate(r.values, theta, cutoff, cfg.extension)
-        amp = np.maximum(a_t, a_floor)
-        pair = PhasePair(r.t0, r.t1, amp, theta)
+        if k == 0:
+            widest = a_t
+        pair = PhasePair(r.t0, r.t1, np.maximum(a_t, a_floor), theta)
         if check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
             return pair, p2_objective(r, pair)
         cutoff *= 0.5
-    a_t, _ = _demodulate(r.values, theta, cfg.lowpass_fraction / 8.0, cfg.extension)
-    amp = np.full(r.n, max(float(np.mean(a_t)), a_floor))
-    pair = PhasePair(r.t0, r.t1, amp, theta)
+    pair = PhasePair(r.t0, r.t1, np.full(r.n, max(float(np.mean(widest)), a_floor)), theta)
     return pair, p2_objective(r, pair)
 
 

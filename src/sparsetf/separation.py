@@ -58,22 +58,17 @@ class SeparationReport:
 
 @dataclass(frozen=True)
 class PairwiseSeparation:
-    """Pointwise-minimum frequency ratios between components.
+    """Smallest pointwise frequency ratio between adjacent components.
 
-    ``ratios[i, j] = min_t theta_j'(t) / theta_i'(t)`` in the input order;
-    ``d_min`` is the minimum of ``ratios`` over adjacent components after
-    ordering by mean frequency.  ``meets_d`` compares ``d_min`` against a
-    requested ratio when one was supplied.
+    ``d_min`` is the minimum over adjacent components, after ordering by mean
+    frequency, of ``min_t theta_hi'(t) / theta_lo'(t)``.  ``meets_d``
+    compares ``d_min`` against a requested ratio when one was supplied.
     """
 
     d_min: float
-    ratios: np.ndarray
     meets_d: bool | None = None
 
     def __post_init__(self):
-        r = np.array(self.ratios, dtype=float)
-        r.setflags(write=False)
-        object.__setattr__(self, "ratios", r)
         if not self.d_min > 0:
             raise InvalidInputError("d_min must be positive")
 
@@ -134,7 +129,7 @@ def check_scale_separation(pair: PhasePair, eps: float) -> SeparationReport:
 
 
 def check_well_separated(pairs: Sequence[PhasePair], params=None) -> PairwiseSeparation:
-    """Pointwise frequency-ratio matrix and the adjacent-component minimum."""
+    """The adjacent-component minimum of the pointwise frequency ratio."""
     if len(pairs) < 2:
         raise InvalidInputError("need at least two pairs")
     first = pairs[0]
@@ -142,16 +137,10 @@ def check_well_separated(pairs: Sequence[PhasePair], params=None) -> PairwiseSep
         if not p.same_grid(first):
             raise InvalidInputError("pairs must share one grid")
     freqs = [p.theta_prime() for p in pairs]
-    m = len(pairs)
-    ratios = np.ones((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                ratios[i, j] = float(np.min(freqs[j] / freqs[i]))
     order = np.argsort([float(np.mean(fp)) for fp in freqs])
-    d_min = float(min(ratios[order[k], order[k + 1]] for k in range(m - 1)))
+    d_min = min(float(np.min(freqs[hi] / freqs[lo])) for lo, hi in zip(order[:-1], order[1:]))
     meets = None if params is None else bool(d_min >= params.d)
-    return PairwiseSeparation(d_min, ratios, meets)
+    return PairwiseSeparation(d_min, meets)
 
 
 def coherence(x: PhasePair, y: PhasePair) -> float:

@@ -148,7 +148,8 @@ class DictionaryParams:
     d
         Minimum pointwise frequency ratio between adjacent components.
     m_prime
-        Bound on ``sup theta' / inf theta'`` for a single component.
+        Bound on ``sup theta' / inf theta'`` for a single component; the
+        generators record it, the pursuit does not enforce it.
     epsilon0
         Residual threshold (in signal units) that stops the pursuit.
     """

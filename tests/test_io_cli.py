@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import sparsetf
-from sparsetf import (Decomposition, InvalidInputError, PhasePair, SampledSignal, cwt,
-                      default_scales, gen_mode_mixing_example,
+from sparsetf import (Decomposition, InvalidInputError, PhasePair, PursuitConfig,
+                      SampledSignal, cwt, default_scales, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet)
 from sparsetf.cli import main
 from sparsetf.io import (decomposition_from_dict, decomposition_to_dict,
@@ -106,19 +107,6 @@ class TestDecompositionJson:
         re = flat[0::2].reshape(len(obj["times"]), len(obj["scales"]))
         im = flat[1::2].reshape(len(obj["times"]), len(obj["scales"]))
         np.testing.assert_array_equal(re + 1j * im, s.coeffs)
-
-    def test_ridge_curves_serialize(self):
-        from sparsetf import extract_ridges
-        from sparsetf.io import ridge_curves_to_dict
-
-        f = tone(64.0, 2048)
-        w = make_wavelet(0.2)
-        s = cwt(f, w, default_scales(f, w, voices=16))
-        curves = extract_ridges(s, 0.2)
-        obj = ridge_curves_to_dict(curves)
-        assert len(obj["curves"]) == 1
-        assert json.dumps(obj)  # JSON-safe
-        assert len(obj["curves"][0]["omega"]) == len(obj["curves"][0]["times"])
 
 
 def run_cli(*argv):
@@ -317,3 +305,55 @@ class TestCli:
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"extension": "mirorr"}))
         assert run_cli("decompose", two_tone_csv, cfgp, "--out", tmp_path / "o") == 1
+
+    @pytest.mark.parametrize("config, named", [
+        ({"voices": "x"}, "'voices'"),
+        ({"max_components": float("nan")}, "'max_components'"),
+        ({"voices": 16.5}, "'voices'"),
+        ({"epsilon": "0.1"}, "'epsilon'"),
+        ({"inner_tol": [1e-6]}, "'inner_tol'"),
+        (5, "JSON object"),
+        ({"m_prime": 2.0}, "'m_prime'"),
+        ({"inner_max_iter": 50}, "'inner_max_iter'"),
+        ({"lowpass_fraction": 0.5}, "'lowpass_fraction'"),
+    ])
+    def test_malformed_config_exits_one_naming_the_key(self, tmp_path, two_tone_csv, capsys,
+                                                        config, named):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        assert run_cli("decompose", two_tone_csv, cfgp, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_decompose_manifest_echoes_every_setting(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        t = np.linspace(0, 1, 512)
+        write_signal_csv(path, SampledSignal(0, 1, 1e-4 * np.cos(2 * np.pi * 8 * t)))
+        assert run_cli("decompose", path, "--out", tmp_path / "o") == 0
+        config = json.loads((tmp_path / "o" / "run_manifest.json").read_text())["config"]
+        library = {f.name for f in fields(PursuitConfig)} - {"params"}
+        assert set(config) == library | {"epsilon", "d", "epsilon0"}
+        assert config["epsilon0"] == 1e-2  # the adaptive floor for a tiny signal
+        assert config["inner_tol"] == 1e-6
+
+    @pytest.mark.parametrize("flags, extension", [([], "periodic"), (["--mirror"], "mirror")])
+    def test_cwt_manifest_records_defaults(self, tmp_path, flags, extension):
+        path = tmp_path / "tone.csv"
+        write_signal_csv(path, tone(16.0, 257))
+        assert run_cli("cwt", path, "--out", tmp_path / "o", *flags) == 0
+        config = json.loads((tmp_path / "o" / "run_manifest.json").read_text())["config"]
+        assert (config["delta"], config["voices"], config["extension"]) == (0.2, 32, extension)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["grid"].update(n="abc"),
+        lambda obj: obj["components"][0].update(a=["x"] * len(obj["residual"])),
+    ], ids=["grid_n_not_int", "envelope_not_float"])
+    def test_verify_malformed_decomposition_exits_one(self, tmp_path, capsys, edit):
+        d = Decomposition((tone_pair(8.0, 257),), SampledSignal(0, 1, np.zeros(257)))
+        sig, dec = tmp_path / "s.csv", tmp_path / "d.json"
+        write_signal_csv(sig, d.signal())
+        obj = decomposition_to_dict(d)
+        edit(obj)
+        dec.write_text(json.dumps(obj))
+        assert run_cli("verify", dec, sig) == 1
+        assert capsys.readouterr().err.startswith("error: malformed decomposition JSON")
