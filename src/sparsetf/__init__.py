@@ -2,8 +2,8 @@
 
 Decomposes a signal into modes ``a_k(t) * cos(theta_k(t))`` with slowly
 varying envelopes and frequencies via greedy nonlinear pursuit, and provides
-executable checks of the scale-separation, transform-concentration,
-coherence, and recovery properties that justify the method.
+executable checks of the scale-separation, norm-equivalence, cross-term,
+transform-concentration and recovery properties that justify the method.
 """
 
 __version__ = "0.1.0"

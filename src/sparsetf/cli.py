@@ -155,6 +155,7 @@ def cmd_verify(args) -> int:
         raise InvalidInputError("signal and decomposition grids differ")
     cfg = _settings(args, f)
     eps, d, eps0 = (cfg[key] for key in _PARAM_KEYS)
+    DictionaryParams(eps, d, epsilon0=eps0)  # rejects out-of-range settings
 
     rows = []
     ok = True
@@ -170,9 +171,9 @@ def cmd_verify(args) -> int:
                      f"{nrm.lhs:.4g} <= {nrm.mid:.4g} <= {nrm.rhs:.4g}", nrm.holds))
         ok &= nrm.holds
     if len(comps) >= 2:
-        pw = check_well_separated(comps, DictionaryParams(eps, d, epsilon0=eps0))
-        rows.append(("well separated", f"d_min={pw.d_min:.4g} vs d={d}", bool(pw.meets_d)))
-        ok &= bool(pw.meets_d)
+        d_min = check_well_separated(comps)
+        rows.append(("well separated", f"d_min={d_min:.4g} vs d={d}", d_min >= d))
+        ok &= d_min >= d
         order = np.argsort([float(np.mean(c.theta_prime())) for c in comps])
         for slow, fast in combinations(order, 2):
             name = f"cross term [{slow + 1},{fast + 1}]"
@@ -287,17 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="sparse time-frequency decomposition toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, extension=True):
+    def add_dictionary_flags(sp):
         sp.add_argument("--epsilon", type=float, default=None, help="separation factor")
         sp.add_argument("--d", type=float, default=None, help="frequency ratio")
         sp.add_argument("--epsilon0", type=float, default=None, help="residual threshold")
+
+    def add_transform_flags(sp):
         sp.add_argument("--delta", type=float, default=None, help="wavelet half-bandwidth")
         sp.add_argument("--voices", type=int, default=None, help="scales per octave")
-        if extension:
-            g = sp.add_mutually_exclusive_group()
-            for ext in ("periodic", "mirror"):
-                g.add_argument(f"--{ext}", dest="extension", action="store_const", const=ext,
-                               help=f"{ext} extension")
+        g = sp.add_mutually_exclusive_group()
+        for ext in ("periodic", "mirror"):
+            g.add_argument(f"--{ext}", dest="extension", action="store_const", const=ext,
+                           help=f"{ext} extension")
 
     sp = sub.add_parser("synth", help="generate benchmark signals")
     sp.add_argument("--example", choices=["crossing", "mode-mixing", "random"], required=True)
@@ -315,21 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("signal", help="input signal CSV")
     sp.add_argument("config", nargs="?", default=None, help="config JSON")
     sp.add_argument("--out", required=True)
-    add_common(sp)
+    add_dictionary_flags(sp)
+    add_transform_flags(sp)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="check a decomposition against the admissibility bounds")
     sp.add_argument("decomposition", help="decomposition JSON")
     sp.add_argument("signal", help="signal CSV")
-    add_common(sp, extension=False)
+    add_dictionary_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("cwt", help="scalogram and heatmap")
+    # no abbreviations here: cwt takes no --d, which would otherwise abbreviate --delta
+    sp = sub.add_parser("cwt", help="scalogram and heatmap", allow_abbrev=False)
     sp.add_argument("signal")
     sp.add_argument("--out", required=True)
     sp.add_argument("--fmin", type=float, default=None)
     sp.add_argument("--fmax", type=float, default=None)
-    add_common(sp)
+    add_transform_flags(sp)
     sp.set_defaults(func=cmd_cwt)
 
     sp = sub.add_parser("compare", help="match two decompositions component-wise")

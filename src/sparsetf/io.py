@@ -1,8 +1,8 @@
 """File formats: signal CSV, decomposition / scalogram / report JSON, run manifests.
 
 Signal CSV: header ``t,value``, one row per sample, strictly increasing t.
-Equal spacing is required up to a relative deviation of 1e-9; non-uniform
-input can be resampled at ingestion by linear interpolation.
+A grid whose spacing deviates by more than 1e-9 relative is resampled at
+ingestion by linear interpolation.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ __all__ = [
 SPACING_RTOL = 1e-9
 
 
-def read_signal_csv(path, resample: bool = True) -> SampledSignal:
+def read_signal_csv(path) -> SampledSignal:
     """Parse a ``t,value`` CSV into a signal on a uniform grid.
 
     Raises invalid-input errors with the offending line number.  When the
     grid is non-uniform beyond tolerance the samples are linearly resampled
-    onto the uniform grid with the same endpoints and count (or an error is
-    raised when ``resample`` is off).
+    onto the uniform grid with the same endpoints and count.
     """
     path = Path(path)
     ts, vs = [], []
@@ -77,8 +76,6 @@ def read_signal_csv(path, resample: bool = True) -> SampledSignal:
         raise InvalidInputError(f"{path}: line {bad}: t must be strictly increasing")
     mean_dt = (t[-1] - t[0]) / (t.size - 1)
     if np.max(np.abs(dts - mean_dt)) > SPACING_RTOL * mean_dt:
-        if not resample:
-            raise InvalidInputError(f"{path}: grid is not uniform within {SPACING_RTOL:g} relative")
         uniform = np.linspace(t[0], t[-1], t.size)
         v = np.interp(uniform, t, v)
     return SampledSignal(float(t[0]), float(t[-1]), v)

@@ -53,14 +53,13 @@ class PursuitConfig:
 
     ``inner_tol`` ends the inner solve once the largest phase correction is
     below it (in cycles); ``delta`` is the wavelet half-bandwidth used for
-    ridge seeding and as the frequency floor factor; ``init`` is ``"ridge"``
-    or an explicit initial phase array used for the first extraction.
+    ridge seeding and as the frequency floor factor.  Every extraction is
+    seeded from the dominant transform ridge of the residual.
     """
 
     params: DictionaryParams
     max_components: int = 8
     inner_tol: float = 1e-4
-    init: object = "ridge"
     delta: float = 0.2
     voices: int = 32
     extension: str = "periodic"
@@ -72,8 +71,6 @@ class PursuitConfig:
             raise InvalidInputError("inner_tol must be positive")
         if not 0 < self.delta < 1:
             raise InvalidInputError("delta must lie in (0,1)")
-        if isinstance(self.init, str) and self.init != "ridge":
-            raise InvalidInputError("init must be 'ridge' or an initial phase array")
         if self.extension not in EXTENSIONS:
             raise InvalidInputError(f"extension must be one of {EXTENSIONS}, got {self.extension!r}")
 
@@ -366,13 +363,10 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     extracted: list[PhasePair] = []
     no_progress = False
     eps0 = cfg.params.epsilon0
-    for k in range(cfg.max_components):
+    for _ in range(cfg.max_components):
         if residual.norm() < eps0:
             break
-        if k == 0 and not isinstance(cfg.init, str):
-            theta_init = np.asarray(cfg.init, dtype=float)
-        else:
-            theta_init = _seed_phase(residual, cfg)
+        theta_init = _seed_phase(residual, cfg)
         if theta_init is None:
             no_progress = True
             break

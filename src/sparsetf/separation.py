@@ -1,4 +1,4 @@
-"""Slow-variation metrics, pairwise frequency separation and coherence bounds.
+"""Slow-variation metrics, pairwise frequency separation and norm/cross-term bounds.
 
 A mode ``a*cos(theta)`` is admissible at separation factor ``eps`` when the
 measured ratios ``sup|a'/theta'|`` and ``sup|theta''/theta'^2|`` both stay
@@ -18,17 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal import PhasePair, differentiate, inner_product
+from .signal import PhasePair, differentiate
 
 __all__ = [
     "SeparationReport",
-    "PairwiseSeparation",
     "NormEquivalenceResult",
     "CrossTermResult",
     "OscillationBoundResult",
     "check_scale_separation",
     "check_well_separated",
-    "coherence",
     "verify_norm_equivalence",
     "verify_cross_term_bound",
     "verify_oscillatory_cancellation",
@@ -54,23 +52,6 @@ class SeparationReport:
     @property
     def eps_measured(self) -> float:
         return max(self.eps_envelope, self.eps_frequency)
-
-
-@dataclass(frozen=True)
-class PairwiseSeparation:
-    """Smallest pointwise frequency ratio between adjacent components.
-
-    ``d_min`` is the minimum over adjacent components, after ordering by mean
-    frequency, of ``min_t theta_hi'(t) / theta_lo'(t)``.  ``meets_d``
-    compares ``d_min`` against a requested ratio when one was supplied.
-    """
-
-    d_min: float
-    meets_d: bool | None = None
-
-    def __post_init__(self):
-        if not self.d_min > 0:
-            raise InvalidInputError("d_min must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,8 +109,8 @@ def check_scale_separation(pair: PhasePair, eps: float) -> SeparationReport:
     return SeparationReport(eps_env, eps_freq, m_prime, in_dict)
 
 
-def check_well_separated(pairs: Sequence[PhasePair], params=None) -> PairwiseSeparation:
-    """The adjacent-component minimum of the pointwise frequency ratio."""
+def check_well_separated(pairs: Sequence[PhasePair]) -> float:
+    """``d_min``, the least ``theta_hi'(t) / theta_lo'(t)`` of modes adjacent in mean frequency."""
     if len(pairs) < 2:
         raise InvalidInputError("need at least two pairs")
     first = pairs[0]
@@ -139,19 +120,9 @@ def check_well_separated(pairs: Sequence[PhasePair], params=None) -> PairwiseSep
     freqs = [p.theta_prime() for p in pairs]
     order = np.argsort([float(np.mean(fp)) for fp in freqs])
     d_min = min(float(np.min(freqs[hi] / freqs[lo])) for lo, hi in zip(order[:-1], order[1:]))
-    meets = None if params is None else bool(d_min >= params.d)
-    return PairwiseSeparation(d_min, meets)
-
-
-def coherence(x: PhasePair, y: PhasePair) -> float:
-    """Normalized inner product of two modes, in [0, 1] up to quadrature error."""
-    if not x.same_grid(y):
-        raise InvalidInputError("pairs must share one grid")
-    sx, sy = x.mode(), y.mode()
-    nx, ny = sx.norm(), sy.norm()
-    if nx == 0 or ny == 0:
-        raise InvalidInputError("coherence is undefined for a zero-norm mode")
-    return abs(inner_product(sx, sy)) / (nx * ny)
+    if not d_min > 0:
+        raise InvalidInputError("d_min must be positive")
+    return d_min
 
 
 def _warn_if_not_periodic(pair: PhasePair):

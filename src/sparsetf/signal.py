@@ -24,7 +24,6 @@ __all__ = [
     "Decomposition",
     "differentiate",
     "cumulative_integral",
-    "inner_product",
     "reconstruct",
 ]
 
@@ -225,13 +224,6 @@ def cumulative_integral(x, dt: float) -> np.ndarray:
     if x.ndim != 1 or x.size < 2:
         raise InvalidInputError("cumulative_integral needs a 1-d array of length >= 2")
     return cumulative_trapezoid(x, dx=dt, initial=0.0)
-
-
-def inner_product(x: SampledSignal, y: SampledSignal) -> float:
-    """Trapezoidal quadrature of x*y over the common span."""
-    if not x.same_grid(y):
-        raise InvalidInputError("inner_product requires identical grids")
-    return float(np.trapezoid(x.values * y.values, dx=x.dt))
 
 
 def reconstruct(pairs: Sequence[PhasePair]) -> SampledSignal:

@@ -7,6 +7,9 @@ import numpy as np
 __all__ = ["line_plot", "heatmap"]
 
 _MARGIN = 48.0
+_LINE_SIZE = (720, 360)  # (width, height) in pixels
+_HEATMAP_SIZE = (760, 420)
+_HEATMAP_CELLS = (256, 128)  # most (time, scale) blocks drawn; larger grids are averaged
 _PALETTE = ["#1f6fb2", "#d95f02", "#2a9d54", "#7b4fa6", "#c03a55"]
 
 
@@ -21,9 +24,9 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def line_plot(path, x, series, title: str = "", width: int = 720, height: int = 360,
-              labels=None):
+def line_plot(path, x, series, title: str = "", labels=None):
     """Write a multi-series line plot; `series` is a list of y-arrays over x."""
+    width, height = _LINE_SIZE
     x = np.asarray(x, dtype=float)
     series = [np.asarray(s, dtype=float) for s in series]
     labels = labels or [f"series {i}" for i in range(len(series))]
@@ -81,13 +84,13 @@ def _color(v: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def heatmap(path, times, scales, mags, title: str = "", width: int = 760, height: int = 420,
-            max_cells: tuple = (256, 128)):
+def heatmap(path, times, scales, mags, title: str = ""):
     """Magnitude heatmap over (time, log-scale); large grids are block-averaged."""
+    width, height = _HEATMAP_SIZE
     times = np.asarray(times, dtype=float)
     scales = np.asarray(scales, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    ct, cs = max_cells
+    ct, cs = _HEATMAP_CELLS
     ti = np.linspace(0, times.size - 1, min(ct, times.size) + 1).astype(int)
     si = np.linspace(0, scales.size - 1, min(cs, scales.size) + 1).astype(int)
     peak = float(np.max(mags)) or 1.0

@@ -49,10 +49,7 @@ def _measured_params(pairs, fallback_d: float, epsilon0: float) -> DictionaryPar
     eps = max(r.eps_measured for r in reports)
     eps = min(max(eps, 1e-12), 1.0 - 1e-12)
     mp = max(r.m_prime for r in reports)
-    if len(pairs) >= 2:
-        d = check_well_separated(list(pairs), None).d_min
-    else:
-        d = fallback_d
+    d = check_well_separated(list(pairs)) if len(pairs) >= 2 else fallback_d
     # frequencies that touch give a measured ratio of 1; clamp into the open domain
     d = max(d, np.nextafter(1.0, 2.0))
     return DictionaryParams(epsilon=eps, d=d, m_prime=max(mp, 1.0), epsilon0=epsilon0)

@@ -48,6 +48,9 @@ B5_CENTER = 115.0 / 192.0
 #: Warn when a scale has fewer oscillation samples than this.
 MIN_SAMPLES_PER_CYCLE = 8
 
+#: Relative tolerance to which ``moments`` converges its quadrature.
+MOMENTS_RTOL = 1e-6
+
 
 def bspline5(x) -> np.ndarray:
     """Cardinal B-spline of order 5 (degree 4), supported on [0, 5].
@@ -154,7 +157,7 @@ def _moment_integrands(w: BSplineWavelet, tau: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
+def moments(w: BSplineWavelet) -> WaveletMoments:
     """Absolute moments by lobe-wise Gauss-Legendre quadrature with verified tail truncation.
 
     The moments are those of psi as implemented (psi_hat(1) = 1, so
@@ -167,13 +170,13 @@ def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
     [0, T].  Each sinc lobe ``[k*pi/c, (k+1)*pi/c]``, c = delta/5, gets its
     own Gauss-Legendre rule: the integrands are smooth inside a lobe and
     only kink where sinc vanishes.  The nodes per lobe are doubled, then the
-    number of lobes, until each change falls below ``rtol/2`` relative;
+    number of lobes, until each change falls below ``MOMENTS_RTOL/2`` relative;
     otherwise a numerical-failure error reports the tolerance actually
     achieved.
     """
     c = w.delta / 5.0
     width = np.pi / c
-    lobes = 256  # T = 256*pi/c ~ 800/c, so the |tau|^-5 envelope tail is < rtol for i3
+    lobes = 256  # T = 256*pi/c ~ 800/c, so the |tau|^-5 envelope tail is < MOMENTS_RTOL for i3
     nodes = 8
 
     def compute(k0, k1, nodes):
@@ -190,7 +193,7 @@ def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
         finer = compute(0, lobes, 2 * nodes)
         step_err = reldiff(vals, finer)
         vals, nodes = finer, 2 * nodes
-        if step_err < 0.5 * rtol:
+        if step_err < 0.5 * MOMENTS_RTOL:
             break
     else:
         raise NumericalFailureError("moment quadrature did not converge in step", step_err)
@@ -199,7 +202,7 @@ def moments(w: BSplineWavelet, rtol: float = 1e-6) -> WaveletMoments:
         longer = vals + compute(lobes, 2 * lobes, nodes)
         tail_err = reldiff(longer, vals)
         vals, lobes = longer, 2 * lobes
-        if tail_err < 0.5 * rtol:
+        if tail_err < 0.5 * MOMENTS_RTOL:
             out = WaveletMoments(*map(float, vals))
             if not all(v > 0 and np.isfinite(v) for v in (out.i1, out.i2, out.i3)):
                 raise NumericalFailureError(

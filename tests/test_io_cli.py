@@ -11,7 +11,7 @@ import sparsetf
 from sparsetf import (Decomposition, InvalidInputError, PhasePair, PursuitConfig,
                       SampledSignal, cwt, default_scales, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet)
-from sparsetf.cli import main
+from sparsetf.cli import build_parser, main
 from sparsetf.io import (decomposition_from_dict, decomposition_to_dict,
                          read_decomposition_json, read_signal_csv,
                          scalogram_to_dict, write_decomposition_json,
@@ -36,8 +36,6 @@ class TestSignalCsv:
         s = read_signal_csv(path)
         assert s.n == t.size
         np.testing.assert_allclose(s.values, 2 * s.times(), atol=1e-12)
-        with pytest.raises(InvalidInputError):
-            read_signal_csv(path, resample=False)
 
     def test_empty_file_reports_line_one(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -316,6 +314,7 @@ class TestCli:
         ({"m_prime": 2.0}, "'m_prime'"),
         ({"inner_max_iter": 50}, "'inner_max_iter'"),
         ({"lowpass_fraction": 0.5}, "'lowpass_fraction'"),
+        ({"init": {"a": 1}}, "'init'"),
     ])
     def test_malformed_config_exits_one_naming_the_key(self, tmp_path, two_tone_csv, capsys,
                                                         config, named):
@@ -357,3 +356,33 @@ class TestCli:
         dec.write_text(json.dumps(obj))
         assert run_cli("verify", dec, sig) == 1
         assert capsys.readouterr().err.startswith("error: malformed decomposition JSON")
+
+    @pytest.mark.parametrize("flag, value", [("--epsilon", 5), ("--d", 0.5), ("--epsilon0", -1)])
+    def test_verify_out_of_range_setting_exits_one(self, tmp_path, capsys, flag, value):
+        # one component: no pairwise check runs, so only the settings check can fail
+        d = Decomposition((tone_pair(8.0, 257),), SampledSignal(0, 1, np.zeros(257)))
+        sig, dec = tmp_path / "s.csv", tmp_path / "d.json"
+        write_signal_csv(sig, d.signal())
+        write_decomposition_json(dec, d)
+        assert run_cli("verify", dec, sig, flag, value) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("cwt", "--epsilon", 0.9), ("cwt", "--d", 7), ("cwt", "--epsilon0", 5),
+        ("verify", "--delta", 0.3), ("verify", "--voices", 8),
+    ])
+    def test_flag_of_another_command_exits_two(self, tmp_path, capsys, command, flag, value):
+        inputs = {"cwt": ["s.csv", "--out", tmp_path / "o"], "verify": ["d.json", "s.csv"]}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *inputs[command], flag, value)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_decompose_takes_every_setting_flag(self):
+        args = build_parser().parse_args(
+            ["decompose", "s.csv", "--out", "o", "--epsilon", "0.1", "--d", "3",
+             "--epsilon0", "0.2", "--delta", "0.3", "--voices", "8", "--mirror"])
+        assert (args.epsilon, args.d, args.epsilon0, args.delta, args.voices, args.extension) \
+            == (0.1, 3.0, 0.2, 0.3, 8, "mirror")
+        assert build_parser().parse_args(["decompose", "s.csv", "--out", "o",
+                                          "--periodic"]).extension == "periodic"

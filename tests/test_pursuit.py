@@ -99,8 +99,6 @@ class TestSolve:
         theta[-1] = bad
         with pytest.raises(InvalidInputError, match="finite"):
             solve_p2(r, theta, default_cfg())
-        with pytest.raises(InvalidInputError, match="finite"):
-            matching_pursuit(r, default_cfg(init=theta))
 
 
 def demodulate_reference(t, r_values, theta, eta, extension="periodic"):

@@ -35,8 +35,7 @@ class TestCrossing:
 
     def test_measured_ratio_touches_one(self):
         _, gt, _ = gen_crossing_example(32, 4096)
-        pw = check_well_separated(list(gt.pairs))
-        assert pw.d_min == pytest.approx(1.0, abs=1e-3)
+        assert check_well_separated(list(gt.pairs)) == pytest.approx(1.0, abs=1e-3)
 
     def test_undersampled_raises(self):
         with pytest.raises(InvalidInputError):
@@ -91,8 +90,7 @@ class TestRandomFamily:
     def test_three_components_meet_ratio(self):
         for seed in range(5):
             _, gt = gen_random_well_separated(3, 2.0, 0.05, 50 + seed, 8192)
-            pw = check_well_separated(list(gt.pairs))
-            assert pw.d_min >= 2.0
+            assert check_well_separated(list(gt.pairs)) >= 2.0
 
     def test_ground_truth_reconstructs_emitted_signal(self):
         f, gt = gen_random_well_separated(2, 2.0, 0.08, 7, 4096, noise_amplitude=0.01)
