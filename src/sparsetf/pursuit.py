@@ -52,9 +52,10 @@ class PursuitConfig:
     """Knobs for the pursuit and its inner solver.
 
     ``inner_tol`` ends the inner solve once the largest phase correction is
-    below it (in cycles); ``delta`` is the wavelet half-bandwidth used for
-    ridge seeding and as the frequency floor factor.  Every extraction is
-    seeded from the dominant transform ridge of the residual.
+    below it (in cycles) or an accepted step lowers the objective by at most
+    ``(2*pi*inner_tol)**2 * ||r||^2``; ``delta`` is the wavelet half-bandwidth
+    used for ridge seeding and as the frequency floor factor.  Every
+    extraction is seeded from the dominant transform ridge of the residual.
     """
 
     params: DictionaryParams
@@ -162,7 +163,11 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     slow-variation metrics stay within ``params.epsilon`` (the constraint set
     of the fit); on a rejection the step is halved and retried, and two
     consecutive rejections return the best admissible iterate with
-    ``converged=False``.
+    ``converged=False``, as does ``INNER_MAX_ITER``.  At full bandwidth the
+    solve converges once the largest phase correction is below ``inner_tol``
+    cycles, or once an accepted step lowers the objective by at most
+    ``(2*pi*inner_tol)**2 * ||r||^2``: near the optimum, the most a phase
+    step of ``inner_tol`` cycles can move it.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -176,6 +181,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
 
     history = [float(np.trapezoid(r.values**2, dx=h))]
     slack = 1e-12 * max(history[0], np.finfo(float).tiny)
+    stall = (2.0 * np.pi * cfg.inner_tol) ** 2 * history[0]
     best_pair, best_obj = None, np.inf
     converged = False
     iterations = 0
@@ -189,10 +195,11 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
         iterations += 1
         eta = stages[stage]
         at_full_bandwidth = stage == len(stages) - 1
-        a_t, b_t = _demodulate(r.values, theta, eta, cfg.extension)
-        amp = np.hypot(a_t, b_t)
-        phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
-        rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
+        if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
+            a_t, b_t = _demodulate(r.values, theta, eta, cfg.extension)
+            amp = np.hypot(a_t, b_t)
+            phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
+            rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
         theta_new = _project_phase(theta + damp * phi, theta, h, cfg.delta)
         # project onto (a margin around) the constraint set: tame the envelope
         # until the pair is admissible; candidates whose advantage lives in
@@ -215,7 +222,8 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
             damp *= 0.5
             if consecutive_bad >= 2:
                 break
-        if at_full_bandwidth and rel_update < cfg.inner_tol and best_pair is not None:
+        stalled = consecutive_bad == 0 and history[-2] - history[-1] <= stall  # on acceptance
+        if at_full_bandwidth and (rel_update < cfg.inner_tol or stalled) and best_pair is not None:
             converged = True
             break
     if best_pair is None:

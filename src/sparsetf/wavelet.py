@@ -296,7 +296,11 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
     extension's period (the FFT-domain transform of Torrence & Compo, 1998),
     exact up to round-off.
     """
-    return _folded_cwt(f, w, scales, extension, math.inf)
+    sg = _folded_cwt(f, w, scales, extension, math.inf)
+    if sg.unresolved_scales:
+        warnings.warn(f"{len(sg.unresolved_scales)} scale(s) sampled below {MIN_SAMPLES_PER_CYCLE} "
+                      "points per oscillation cycle; magnitudes there are unreliable", RuntimeWarning)
+    return sg
 
 
 def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic",
@@ -335,12 +339,6 @@ def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "p
 
     unresolved = tuple(float(s) for s in scales
                        if 2 * np.pi * s < MIN_SAMPLES_PER_CYCLE * step(L))
-    if unresolved:
-        warnings.warn(
-            f"{len(unresolved)} scale(s) sampled below {MIN_SAMPLES_PER_CYCLE} points "
-            "per oscillation cycle; magnitudes there are unreliable",
-            RuntimeWarning,
-        )
 
     index = np.arange(L // ext.spans + 1) % L
     coeffs = np.empty((index.size, scales.size), dtype=complex)

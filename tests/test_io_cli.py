@@ -202,6 +202,15 @@ class TestCli:
         assert run_cli("decompose", sig, "--out", out, "--mirror") == 0
         assert read_decomposition_json(out / "decomposition.json").n_components == 2
 
+    def test_decompose_warns_of_no_scale_it_chose_itself(self, tmp_path):
+        # the seeding transforms' scales come from default_scales, not the user
+        sig = tmp_path / "mm.csv"
+        write_signal_csv(sig, gen_mode_mixing_example(4096)[0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("decompose", sig, "--out", tmp_path / "o") == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_verify_ground_truth_passes(self, tmp_path):
         f, gt = gen_random_well_separated(2, 2.0, 0.05, 21, 4096)
         sig = tmp_path / "s.csv"

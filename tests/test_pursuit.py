@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +10,12 @@ from hypothesis import strategies as st_
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
+import sparsetf
 from sparsetf import (Decomposition, DictionaryParams, InvalidInputError,
                       PursuitConfig, SampledSignal, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
-from sparsetf.pursuit import (_demodulate, _lowpass_sharp, _segmentwise_extract,
+from sparsetf.pursuit import (_demodulate, _lowpass_sharp, _seed_phase, _segmentwise_extract,
                               _stitch_segments)
 
 from conftest import tone_pair
@@ -81,6 +87,21 @@ class TestSolve:
         assert res.history[0] == pytest.approx(r.norm() ** 2, rel=1e-12)
         diffs = np.diff(np.asarray(res.history))
         assert np.all(diffs <= 1e-9 * res.history[0])
+
+    def test_flat_objective_ends_the_solve(self):
+        # the first solve of family signal 4 (seed 1, the benchmark's 2-mode
+        # configuration): without the stall stop it runs to the iteration cap,
+        # though no step after the fourth lowers the objective by 5e-7 of it
+        f, gt = gen_random_well_separated(2, 2.0, 0.05, 3789240271, 8192, base_freq=64)
+        cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
+                                             epsilon0=0.05 * f.norm()),
+                            max_components=4, voices=16, delta=0.15)
+        theta = _seed_phase(f, cfg)
+        res = solve_p2(f, theta, cfg)
+        assert res.converged and res.iterations < 15
+        # inner_tol=1e-12 turns both the phase-step and the stall stop off
+        full = solve_p2(f, theta, replace(cfg, inner_tol=1e-12))
+        assert res.objective - full.objective <= 2 * (2 * np.pi * 1e-4) ** 2 * res.history[0]
 
     def test_non_monotone_init_raises(self):
         n = 512
@@ -265,6 +286,19 @@ class TestMatchingPursuit:
         freqs = [np.mean(c.theta_prime()) / (2 * np.pi) for c in dec.components]
         assert freqs[0] == pytest.approx(32.0, rel=0.01)
         assert freqs[1] == pytest.approx(96.0, rel=0.01)
+
+    def test_pursuit_does_not_import_scipy_ndimage(self):
+        # importing scipy.ndimage costs about 50 ms, paid by a process's first pursuit
+        code = ("import sys, numpy as np; from sparsetf import *\n"
+                "t = np.linspace(0, 1, 2048)\n"
+                "f = SampledSignal(0, 1, np.cos(2 * np.pi * 32 * t) + np.cos(2 * np.pi * 96 * t))\n"
+                "cfg = PursuitConfig(DictionaryParams(0.05, 2.0, epsilon0=1e-2))\n"
+                "assert matching_pursuit(f, cfg).n_components == 2\n"
+                "print('scipy.ndimage' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(sparsetf.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_residual_norm_decreases_across_extractions(self):
         n = 4096
