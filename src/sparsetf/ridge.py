@@ -132,8 +132,10 @@ def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]
     gmax = float(np.max(mags))
     if gmax == 0.0:
         return []
-    if floor is None:
-        floor = min(max(3.0 * float(np.median(mags)) / gmax, 1e-6), 0.5)
+    if floor is None:  # the median partitions mags in place, so refill it after
+        floor = min(max(3.0 * float(np.median(mags, overwrite_input=True)) / gmax, 1e-6), 0.5)
+        np.abs(s.coeffs, out=mags)
+        mags /= np.sqrt(s.scales)[None, :]
     threshold = floor * gmax
     nt = s.times.size
     dt = s.times[1] - s.times[0]

@@ -45,7 +45,9 @@ __all__ = [
 #: Central value B5(5/2) of the cardinal quartic B-spline (support [0, 5]).
 B5_CENTER = 115.0 / 192.0
 
-#: Warn when a scale has fewer oscillation samples than this.
+#: ``cwt`` warns about, and ``concentration_error`` refuses, a scale with
+#: fewer oscillation samples than this; the seeding transform needs only the
+#: Nyquist rate of each band (``_folded_cwt``).
 MIN_SAMPLES_PER_CYCLE = 8
 
 #: Relative tolerance to which ``moments`` converges its quadrature.
@@ -63,7 +65,7 @@ def bspline5(x) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=float), 0.0, 5.0)
     out = np.zeros_like(x)
     for k in range(6):
-        out += ((-1) ** k) * math.comb(5, k) * np.clip(x - k, 0.0, None) ** 4
+        out += ((-1) ** k) * math.comb(5, k) * np.maximum(x - k, 0.0) ** 4
     return out / 24.0
 
 
@@ -255,9 +257,9 @@ class Scalogram:
         return np.abs(self.coeffs)
 
 
-def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int,
-                         shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The bins k where H[k] != 0, increasing, and H there, for
+def _periodised_responses(w: BSplineWavelet, scales, h: float, P: int,
+                          shift: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per omega in ``scales``, the bins k where H[k] != 0, increasing, and H there, for
 
     ``H[k] = sum_l psi_hat(omega*(2*pi*l - 2*pi*(k - shift)/P)/h)``, k = 0..P-1.
 
@@ -265,24 +267,35 @@ def _periodised_response(w: BSplineWavelet, omega: float, h: float, P: int,
     ``g[m] = sum_q psi((m + q*P)*h/omega) * exp(-2*pi*i*shift*(m + q*P)/P)``
     evaluated at -k.  psi_hat vanishes outside [1-delta, 1+delta], so only
     the l with l - (k - shift)/P in ``h/(2*pi*omega) * [1-delta, 1+delta]``
-    contribute.
+    contribute.  One psi_hat call covers the bands of all scales.
     """
-    c = h / (2.0 * np.pi * omega)
-    lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
-    ks, Hs = [], []
-    for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
-        k0 = max(int(np.ceil(P * (l - hi) + shift)), 0)
-        k1 = min(int(np.floor(P * (l - lo) + shift)), P - 1)
-        if k1 >= k0:
-            ks.append(np.arange(k0, k1 + 1))
-            Hs.append(w.freq_response((l - (ks[-1] - shift) / P) / c))
-    if len(ks) == 1:
-        k, H = ks[0], Hs[0]
-    else:  # none, or (below two samples per cycle) aliases l of one bin that add up
-        k, inv = np.unique(np.concatenate([np.zeros(0, dtype=int), *ks]), return_inverse=True)
-        H = np.bincount(inv, weights=np.concatenate([np.zeros(0), *Hs]))
-    keep = np.flatnonzero(H)
-    return k[keep], H[keep]
+    # per alias l with a non-empty band: its bins, and psi_hat's argument there;
+    # scales[j] owns ks[first[j]:first[j + 1]], whose values are H[edge[i]:edge[i + 1]]
+    ks, xi, first, edge = [], [], [0], [0]
+    for omega in scales:
+        c = h / (2.0 * np.pi * omega)
+        lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
+        for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
+            k0 = max(int(np.ceil(P * (l - hi) + shift)), 0)
+            k1 = min(int(np.floor(P * (l - lo) + shift)), P - 1)
+            if k1 >= k0:
+                ks.append(np.arange(k0, k1 + 1))
+                xi.append((l - (ks[-1] - shift) / P) / c)
+                edge.append(edge[-1] + ks[-1].size)
+        first.append(len(ks))
+    H = w.freq_response(np.concatenate([np.zeros(0), *xi]))
+    out = []
+    for a, b in zip(first, first[1:]):
+        Hj = H[edge[a]:edge[b]]
+        if b - a == 1:
+            k = ks[a]
+        else:  # none, or (below two samples per cycle) aliases l of one bin that add up
+            k, inv = np.unique(np.concatenate([np.zeros(0, dtype=int), *ks[a:b]]),
+                               return_inverse=True)
+            Hj = np.bincount(inv, weights=Hj)
+        keep = np.flatnonzero(Hj)
+        out.append((k[keep], Hj[keep]))
+    return out
 
 
 def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic") -> Scalogram:
@@ -291,7 +304,7 @@ def cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "periodic"
     ``W(t_i, w_j) = w_j^{-1/2} * sum_m f(tau_m) psi((tau_m - t_i)/w_j) * dt``
     with the untruncated sum running over all samples of the periodic (or
     mirror) extension of the signal.  Since psi_hat is compactly supported,
-    the periodised kernel has a closed-form DFT (``_periodised_response``),
+    the periodised kernel has a closed-form DFT (``_periodised_responses``),
     so each scale is one spectral multiply and one inverse FFT of the
     extension's period (the FFT-domain transform of Torrence & Compo, 1998),
     exact up to round-off.
@@ -310,8 +323,10 @@ def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "p
     Each scale's spectral product, folded modulo L at its signed frequencies
     (bin k > P/2 stands for k - P), gives W at those times exactly by one
     inverse FFT of length L (README, "Seeding transform").  ``L=None`` takes
-    the smallest power of two that resolves the smallest scale on the coarse
-    step and covers the widest non-zero band; L >= P gives the full grid, ``cwt``.
+    the smallest power of two whose step samples the highest frequency
+    (1+delta)/omega of the smallest scale's band above its Nyquist rate, so
+    the ridge phase advances by less than pi per step at every scale; such
+    an L also covers every band.  L >= P gives the full grid, ``cwt``.
     """
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size == 0:
@@ -324,16 +339,15 @@ def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "p
     P = ext.base.size
     h = f.dt
     F = np.fft.fft(ext.base)
-    responses = [_periodised_response(w, omega, h, P) for omega in scales]
+    responses = _periodised_responses(w, scales, h, P)
     signed = [np.where(k > P // 2, k - P, k) for k, _ in responses]
 
     def step(L):  # the coarse grid's time step
         return (f.t1 - f.t0) / (L // ext.spans)
 
     if L is None:
-        widest = max(int(s.max() - s.min()) + 1 if s.size else 0 for s in signed)
         L = 2
-        while L < P and (L < widest or 2 * np.pi * scales[0] < MIN_SAMPLES_PER_CYCLE * step(L)):
+        while L < P and 2 * np.pi * scales[0] < 2 * (1 + w.delta) * step(L):
             L *= 2
     L = P if L >= P else int(L)
 
@@ -367,7 +381,7 @@ def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: 
     P = pair.n - 1
     alpha = (pair.theta[-1] - pair.theta[0]) / P
     Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
-    k, H = _periodised_response(w, omega, h, P, shift=alpha * P / (2.0 * np.pi))
+    k, H = _periodised_responses(w, [omega], h, P, shift=alpha * P / (2.0 * np.pi))[0]
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
     total = np.dot(Y[k] * H, carrier) / P
     return complex(np.exp(-1j * alpha * it) * total * np.sqrt(omega))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,21 @@ class TestLink:
         assert len(got) == len(want) > 0
         for a, b in zip(got, want):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.phase, b.phase)
+
+    def test_default_floor_takes_no_copy_of_the_magnitude(self):
+        # a copy for the median would double the call's peak, to twice the
+        # magnitude; at 64 voices (as in criterion 07) the peak table is small
+        f, _ = gen_random_well_separated(2, 2.0, 0.05, 60_000, 8192, base_freq=64)
+        w = make_wavelet(0.15)
+        s = cwt(f, w, default_scales(f, w, voices=64))
+        extract_ridges(s)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert extract_ridges(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * s.coeffs.real.nbytes
 
 
 class TestCoarseRidges:

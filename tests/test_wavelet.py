@@ -9,7 +9,7 @@ from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bs
                       gen_random_well_separated, make_wavelet, moments)
 from sparsetf.signal import extend_span
 from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _moment_integrands,
-                              _transform_complex_mode)
+                              _periodised_responses, _transform_complex_mode)
 
 from conftest import tone, tone_pair
 
@@ -298,6 +298,21 @@ def signed_frequency_sum(f: SampledSignal, w, scales, L: int) -> np.ndarray:
     return out
 
 
+def periodised_response_per_scale(w, omega, h, P, shift):
+    """The nonzero bins of one scale's periodised response, one psi_hat call per alias l."""
+    c = h / (2.0 * np.pi * omega)
+    lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
+    ks, Hs = [], []
+    for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
+        k = np.arange(max(int(np.ceil(P * (l - hi) + shift)), 0),
+                      min(int(np.floor(P * (l - lo) + shift)), P - 1) + 1)
+        ks.append(k)
+        Hs.append(w.freq_response((l - (k - shift) / P) / c))
+    k, inv = np.unique(np.concatenate([np.zeros(0, dtype=int), *ks]), return_inverse=True)
+    H = np.bincount(inv, weights=np.concatenate([np.zeros(0), *Hs]))
+    return k[H != 0], H[H != 0]
+
+
 class TestFoldedTransform:
     @staticmethod
     def family(m: int, n: int, seed: int = 1):
@@ -369,19 +384,60 @@ class TestFoldedTransform:
         for L in (2 * f.n, 2**40):
             s = _folded_cwt(f, w, scales, extension, L)
             assert np.array_equal(s.coeffs, full.coeffs) and np.array_equal(s.times, full.times)
-        # a scale that needs the full grid to be resolved
-        tight = np.array([1.05 * MIN_SAMPLES_PER_CYCLE * f.dt / (2 * np.pi), *scales])
+        # a scale whose band is sampled above its Nyquist rate only on the full grid
+        tight = np.array([1.05 * 2 * (1 + w.delta) * f.dt / (2 * np.pi), *scales])
         s = _folded_cwt(f, w, tight, extension)
-        assert np.array_equal(s.coeffs, cwt(f, w, tight, extension).coeffs)
+        with pytest.warns(RuntimeWarning, match="below 8 points"):
+            full = cwt(f, w, tight, extension)
+        assert np.array_equal(s.coeffs, full.coeffs) and s.unresolved_scales == full.unresolved_scales
 
     def test_auto_step_resolves_the_smallest_scale(self):
+        # the ridge phase of the smallest scale advances by less than pi per coarse step
         f, w, scales = self.family(3, 16384)
         s = _folded_cwt(f, w, scales)
         L = s.times.size - 1
+        step = s.times[1] - s.times[0]
         assert L & (L - 1) == 0 and L < f.n - 1
-        assert not s.unresolved_scales
-        assert 2 * np.pi * scales[0] >= MIN_SAMPLES_PER_CYCLE * (s.times[1] - s.times[0])
-        assert 2 * np.pi * scales[0] < MIN_SAMPLES_PER_CYCLE * 2 * (s.times[1] - s.times[0])
+        assert 2 * np.pi * scales[0] >= 2 * (1 + w.delta) * step
+        assert 2 * np.pi * scales[0] < 2 * (1 + w.delta) * 2 * step
+        # unresolved_scales still reports cwt's 8-point limit, now on the coarse step
+        want = tuple(float(o) for o in scales if 2 * np.pi * o < MIN_SAMPLES_PER_CYCLE * step)
+        assert s.unresolved_scales == want and want
+
+    @pytest.mark.parametrize("extension,m,n", [
+        ("periodic", 2, 8192), ("periodic", 3, 16384), ("mirror", 2, 8192), ("mirror", 3, 16384),
+    ])
+    def test_auto_L_is_the_smallest_nyquist_grid(self, extension, m, n):
+        f, w, scales = self.family(m, n)
+        s = _folded_cwt(f, w, scales, extension)
+        spans = extend_span(f.values, extension).spans
+        L = spans * (s.times.size - 1)
+        P = spans * (f.n - 1)
+        assert L & (L - 1) == 0 and L < P
+
+        def nyquist(L):  # the highest band frequency (1+delta)/omega advances < pi per step
+            return np.all((1 + w.delta) * (f.t1 - f.t0) / (L // spans) / scales < np.pi)
+
+        widest = max(int(np.ptp(np.where(k > P // 2, k - P, k))) + 1
+                     for k, _ in _periodised_responses(w, scales, f.dt, P))
+        assert nyquist(L) and L >= widest
+        assert not nyquist(L // 2) or L // 2 < widest
+
+    def test_responses_of_all_scales_equal_the_per_scale_ones(self):
+        # aliased scales (below 2 samples per cycle; at 0.05 and 0.2 several l
+        # cover each bin), a scale whose band falls between two bins, and
+        # ordinary ones, at two shifts
+        f, w, scales = self.family(2, 8192)
+        h, P = f.dt, f.n - 1
+        aliased = np.array([0.05, 0.2, 0.9]) * h / (2 * np.pi)
+        empty = [1e4 * P * h]
+        grid = np.concatenate([aliased, scales[::5], empty])
+        for shift in (0.0, 0.37 * P):
+            batch = _periodised_responses(w, grid, h, P, shift)
+            assert [k.size for k, _ in batch[:2]] == [P, P] and batch[-1][0].size == 0
+            for omega, (k, H) in zip(grid, batch):
+                k1, H1 = periodised_response_per_scale(w, omega, h, P, shift)
+                assert np.array_equal(k, k1) and np.array_equal(H, H1)
 
 
 class TestScalogram:
