@@ -26,7 +26,7 @@ from .pursuit import PursuitConfig, matching_pursuit, p2_objective, partition_do
 from .ridge import compare_decompositions
 from .separation import (check_scale_separation, check_well_separated,
                          verify_cross_term_bound, verify_norm_equivalence)
-from .signal import DictionaryParams, SampledSignal, reconstruct
+from .signal import DictionaryParams, SampledSignal, reconstruct, smoother_extension
 from .synth import (gen_crossing_example, gen_mode_mixing_example,
                     gen_random_well_separated)
 from .wavelet import cwt, default_scales, make_wavelet
@@ -37,11 +37,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
 #: Config keys and their defaults, in manifest order: the ``PursuitConfig``
-#: defaults except where the command line departs from them.  ``epsilon0``
-#: None is adaptive, ``max(1e-2, 0.05 ||f||)`` (see ``_settings``).
+#: defaults after the dictionary parameters.  ``epsilon0`` None is adaptive,
+#: ``max(1e-2, 0.05 ||f||)`` (see ``_settings``).
 CONFIG_DEFAULTS = {"epsilon": 0.05, "d": 2.0, "epsilon0": None,
-                   **{f.name: f.default for f in fields(PursuitConfig) if f.name != "params"},
-                   "inner_tol": 1e-6}
+                   **{f.name: f.default for f in fields(PursuitConfig) if f.name != "params"}}
 _PARAM_KEYS = ("epsilon", "d", "epsilon0")
 
 
@@ -140,6 +139,7 @@ def cmd_decompose(args) -> int:
     svg.line_plot(out / "residual.svg", t, [decomp.residual.values],
                   title="residual", labels=["r(t)"])
     inputs = [args.signal] + ([args.config] if args.config else [])
+    cfg_dict["extension"] = smoother_extension(f.values)  # as matching_pursuit picked
     sio.write_run_manifest(out, "decompose", cfg_dict, inputs)
     rnorm = decomp.residual.norm()
     print(f"{decomp.n_components} component(s); residual norm {rnorm:.4e}")
@@ -203,7 +203,7 @@ def cmd_cwt(args) -> int:
     f = sio.read_signal_csv(args.signal)
     cfg = _settings(args)
     w = make_wavelet(cfg["delta"])
-    voices, ext = cfg["voices"], cfg["extension"]
+    voices, ext = cfg["voices"], smoother_extension(f.values)
     scales = default_scales(f, w, voices=voices, fmin=args.fmin, fmax=args.fmax)
     s = cwt(f, w, scales, extension=ext)
     sio.write_scalogram_json(out / "scalogram.json", s)
@@ -296,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_transform_flags(sp):
         sp.add_argument("--delta", type=float, default=None, help="wavelet half-bandwidth")
         sp.add_argument("--voices", type=int, default=None, help="scales per octave")
-        g = sp.add_mutually_exclusive_group()
-        for ext in ("periodic", "mirror"):
-            g.add_argument(f"--{ext}", dest="extension", action="store_const", const=ext,
-                           help=f"{ext} extension")
 
     sp = sub.add_parser("synth", help="generate benchmark signals")
     sp.add_argument("--example", choices=["crossing", "mode-mixing", "random"], required=True)

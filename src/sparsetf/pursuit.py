@@ -22,9 +22,9 @@ from scipy.interpolate import CubicSpline
 from .errors import InvalidInputError
 from .ridge import recover_components
 from .separation import check_scale_separation
-from .signal import (EXTENSIONS, Decomposition, DictionaryParams, PhasePair,
-                     SampledSignal, cumulative_integral, differentiate, extend_span,
-                     moving_average)
+from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
+                     cumulative_integral, differentiate, extend_span, moving_average,
+                     smoother_extension)
 from .wavelet import make_wavelet
 
 __all__ = [
@@ -63,7 +63,6 @@ class PursuitConfig:
     inner_tol: float = 1e-4
     delta: float = 0.2
     voices: int = 32
-    extension: str = "periodic"
 
     def __post_init__(self):
         if self.max_components < 1:
@@ -72,8 +71,6 @@ class PursuitConfig:
             raise InvalidInputError("inner_tol must be positive")
         if not 0 < self.delta < 1:
             raise InvalidInputError("delta must lie in (0,1)")
-        if self.extension not in EXTENSIONS:
-            raise InvalidInputError(f"extension must be one of {EXTENSIONS}, got {self.extension!r}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,8 @@ def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
     return theta - theta[mid] + theta_raw[mid]
 
 
-def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
+def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
+             extension: str = "periodic") -> P2Result:
     """Fit one admissible positive-envelope mode to r by alternating demodulation.
 
     Iterates phase corrections ``theta <- theta + arctan2(-b, a)`` where
@@ -167,7 +165,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     solve converges once the largest phase correction is below ``inner_tol``
     cycles, or once an accepted step lowers the objective by at most
     ``(2*pi*inner_tol)**2 * ||r||^2``: near the optimum, the most a phase
-    step of ``inner_tol`` cycles can move it.
+    step of ``inner_tol`` cycles can move it.  ``extension``: see ``extend_span``.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -196,7 +194,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
         eta = stages[stage]
         at_full_bandwidth = stage == len(stages) - 1
         if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
-            a_t, b_t = _demodulate(r.values, theta, eta, cfg.extension)
+            a_t, b_t = _demodulate(r.values, theta, eta, extension)
             amp = np.hypot(a_t, b_t)
             phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
             rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
@@ -204,7 +202,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
         # project onto (a margin around) the constraint set: tame the envelope
         # until the pair is admissible; candidates whose advantage lives in
         # inadmissible wiggles lose it here and fail the objective gate below
-        tamed = _tame_envelope(amp, theta_new, eta, r, cfg, a_floor)
+        tamed = _tame_envelope(amp, theta_new, eta, r, cfg, a_floor, extension)
         if tamed is not None:
             pair = tamed
             obj = p2_objective(r, pair)
@@ -229,13 +227,13 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig) -> P2Result:
     if best_pair is None:
         # no admissible improving step exists; report the best admissible
         # envelope at the initial phase (progressively tamed until it passes)
-        best_pair, best_obj = _admissible_envelope_fit(r, theta, cfg, a_floor)
+        best_pair, best_obj = _admissible_envelope_fit(r, theta, cfg, a_floor, extension)
         converged = False
     return P2Result(best_pair, float(best_obj), iterations, converged, tuple(history))
 
 
 def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSignal,
-                   cfg: PursuitConfig, a_floor: float) -> PhasePair | None:
+                   cfg: PursuitConfig, a_floor: float, extension: str) -> PhasePair | None:
     """Low-pass the envelope until the candidate pair is admissible.
 
     The gate sits at ADMISSIBILITY_MARGIN times the target separation factor
@@ -251,12 +249,12 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
         if check_scale_separation(pair, eps_cap).in_dictionary:
             return pair
         cutoff *= 0.5
-        cur = _lowpass_sharp(amp, cutoff, cfg.extension)
+        cur = _lowpass_sharp(amp, cutoff, extension)
     return None
 
 
 def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitConfig,
-                             a_floor: float):
+                             a_floor: float, extension: str):
     """Envelope-only fit at a fixed phase, low-passed until admissible.
 
     Halves the envelope bandwidth until the pair passes the slow-variation
@@ -265,7 +263,7 @@ def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitCo
     """
     cutoff = LOWPASS_FRACTION / 8.0
     for k in range(8):
-        a_t, _ = _demodulate(r.values, theta, cutoff, cfg.extension)
+        a_t, _ = _demodulate(r.values, theta, cutoff, extension)
         if k == 0:
             widest = a_t
         pair = PhasePair(r.t0, r.t1, np.maximum(a_t, a_floor), theta)
@@ -326,7 +324,7 @@ def _stitch_segments(segs: list[tuple[np.ndarray, np.ndarray]], t0: float, t1: f
 
 
 def _segmentwise_extract(r: SampledSignal, pair: PhasePair, breakpoints: np.ndarray,
-                         cfg: PursuitConfig) -> PhasePair | None:
+                         cfg: PursuitConfig, extension: str) -> PhasePair | None:
     """Re-solve the inner problem on each partition segment and stitch.
 
     Used when an extracted mode both spans more than one sqrt(d) segment and
@@ -340,16 +338,16 @@ def _segmentwise_extract(r: SampledSignal, pair: PhasePair, breakpoints: np.ndar
         if s1 - s0 < 8:  # too short to demodulate
             return None
         sub = SampledSignal(t[s0], t[s1], r.values[s0 : s1 + 1])
-        res = solve_p2(sub, pair.theta[s0 : s1 + 1], cfg)
+        res = solve_p2(sub, pair.theta[s0 : s1 + 1], cfg, extension)
         segs.append((res.pair.a, res.pair.theta))
     return _stitch_segments(segs, r.t0, r.t1, r.n)
 
 
-def _seed_phase(residual: SampledSignal, cfg: PursuitConfig) -> np.ndarray | None:
+def _seed_phase(residual: SampledSignal, cfg: PursuitConfig, extension: str) -> np.ndarray | None:
     """Initial phase from the dominant transform ridge of the residual."""
     w = make_wavelet(cfg.delta)
     try:
-        pairs = recover_components(residual, w, voices=cfg.voices, extension=cfg.extension)
+        pairs = recover_components(residual, w, voices=cfg.voices, extension=extension)
     except InvalidInputError:
         return None
     if not pairs:
@@ -365,8 +363,9 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     ``max_components`` is reached, or with the ``no_progress`` flag set when
     no ridge rises above the floor or the solver fails to reduce the
     residual.  Components are returned ordered by increasing mean frequency,
-    with the extraction order recorded.
+    with the extraction order recorded.  Spans extend as ``smoother_extension(f)``.
     """
+    extension = smoother_extension(f.values)
     residual = f
     extracted: list[PhasePair] = []
     no_progress = False
@@ -374,11 +373,11 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     for _ in range(cfg.max_components):
         if residual.norm() < eps0:
             break
-        theta_init = _seed_phase(residual, cfg)
+        theta_init = _seed_phase(residual, cfg, extension)
         if theta_init is None:
             no_progress = True
             break
-        res = solve_p2(residual, theta_init, cfg)
+        res = solve_p2(residual, theta_init, cfg, extension)
         pair = res.pair
         objective = res.objective
         if objective >= res.history[0] * (1.0 - 1e-12):  # history[0] is ||residual||^2
@@ -386,7 +385,7 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
             break
         breakpoints = partition_domain(pair.theta_prime(), cfg.params.d)
         if breakpoints.size > 0 and not check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
-            stitched = _segmentwise_extract(residual, pair, breakpoints, cfg)
+            stitched = _segmentwise_extract(residual, pair, breakpoints, cfg, extension)
             if stitched is not None:
                 stitched_obj = p2_objective(residual, stitched)
                 if stitched_obj < objective:

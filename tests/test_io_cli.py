@@ -199,7 +199,7 @@ class TestCli:
         f, _, _ = gen_mode_mixing_example(2**14)
         write_signal_csv(sig, f)
         out = tmp_path / "o"
-        assert run_cli("decompose", sig, "--out", out, "--mirror") == 0
+        assert run_cli("decompose", sig, "--out", out) == 0
         assert read_decomposition_json(out / "decomposition.json").n_components == 2
 
     def test_decompose_warns_of_no_scale_it_chose_itself(self, tmp_path):
@@ -324,6 +324,7 @@ class TestCli:
         ({"inner_max_iter": 50}, "'inner_max_iter'"),
         ({"lowpass_fraction": 0.5}, "'lowpass_fraction'"),
         ({"init": {"a": 1}}, "'init'"),
+        ({"extension": "mirror"}, "'extension'"),
     ])
     def test_malformed_config_exits_one_naming_the_key(self, tmp_path, two_tone_csv, capsys,
                                                         config, named):
@@ -340,15 +341,19 @@ class TestCli:
         assert run_cli("decompose", path, "--out", tmp_path / "o") == 0
         config = json.loads((tmp_path / "o" / "run_manifest.json").read_text())["config"]
         library = {f.name for f in fields(PursuitConfig)} - {"params"}
-        assert set(config) == library | {"epsilon", "d", "epsilon0"}
+        assert set(config) == library | {"epsilon", "d", "epsilon0", "extension"}
         assert config["epsilon0"] == 1e-2  # the adaptive floor for a tiny signal
-        assert config["inner_tol"] == 1e-6
+        assert config["inner_tol"] == PursuitConfig.inner_tol
+        assert config["extension"] == "periodic"
 
-    @pytest.mark.parametrize("flags, extension", [([], "periodic"), (["--mirror"], "mirror")])
-    def test_cwt_manifest_records_defaults(self, tmp_path, flags, extension):
+    @pytest.mark.parametrize("freq, extension", [
+        pytest.param(16.0, "periodic", id="periodic"),
+        pytest.param(16.3, "mirror", id="mirror"),  # not a whole number of cycles
+    ])
+    def test_cwt_manifest_records_defaults(self, tmp_path, freq, extension):
         path = tmp_path / "tone.csv"
-        write_signal_csv(path, tone(16.0, 257))
-        assert run_cli("cwt", path, "--out", tmp_path / "o", *flags) == 0
+        write_signal_csv(path, tone(freq, 257))
+        assert run_cli("cwt", path, "--out", tmp_path / "o") == 0
         config = json.loads((tmp_path / "o" / "run_manifest.json").read_text())["config"]
         assert (config["delta"], config["voices"], config["extension"]) == (0.2, 32, extension)
 
@@ -379,19 +384,20 @@ class TestCli:
     @pytest.mark.parametrize("command, flag, value", [
         ("cwt", "--epsilon", 0.9), ("cwt", "--d", 7), ("cwt", "--epsilon0", 5),
         ("verify", "--delta", 0.3), ("verify", "--voices", 8),
+        # the extension is picked from the signal
+        ("decompose", "--mirror", None), ("cwt", "--periodic", None),
     ])
     def test_flag_of_another_command_exits_two(self, tmp_path, capsys, command, flag, value):
-        inputs = {"cwt": ["s.csv", "--out", tmp_path / "o"], "verify": ["d.json", "s.csv"]}
+        inputs = {"cwt": ["s.csv", "--out", tmp_path / "o"], "verify": ["d.json", "s.csv"],
+                  "decompose": ["s.csv", "--out", tmp_path / "o"]}
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, *inputs[command], flag, value)
+            run_cli(command, *inputs[command], flag, *([] if value is None else [value]))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_decompose_takes_every_setting_flag(self):
         args = build_parser().parse_args(
             ["decompose", "s.csv", "--out", "o", "--epsilon", "0.1", "--d", "3",
-             "--epsilon0", "0.2", "--delta", "0.3", "--voices", "8", "--mirror"])
-        assert (args.epsilon, args.d, args.epsilon0, args.delta, args.voices, args.extension) \
-            == (0.1, 3.0, 0.2, 0.3, 8, "mirror")
-        assert build_parser().parse_args(["decompose", "s.csv", "--out", "o",
-                                          "--periodic"]).extension == "periodic"
+             "--epsilon0", "0.2", "--delta", "0.3", "--voices", "8"])
+        assert (args.epsilon, args.d, args.epsilon0, args.delta, args.voices) \
+            == (0.1, 3.0, 0.2, 0.3, 8)

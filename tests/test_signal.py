@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, PhasePair,
                       SampledSignal, cumulative_integral, differentiate,
-                      gen_crossing_example, gen_mode_mixing_example, reconstruct)
+                      gen_crossing_example, gen_mode_mixing_example,
+                      gen_random_well_separated, reconstruct)
 
-from sparsetf.signal import extend_span, moving_average
+from sparsetf.signal import extend_span, moving_average, smoother_extension
 
 from conftest import tone, tone_pair
 
@@ -164,6 +165,43 @@ class TestExtendSpan:
     def test_unknown_mode_raises(self):
         with pytest.raises(InvalidInputError):
             extend_span(np.zeros(8), "mirorr")
+
+
+def _family(m, seed):
+    """A benchmark-family signal: m modes on 4096 * 2**(m-1) samples."""
+    f, _ = gen_random_well_separated(m, 2.0, 0.05, seed, 4096 * 2 ** (m - 1), base_freq=64)
+    return f.values
+
+
+def _mixing():
+    return gen_mode_mixing_example(4096)[0].values
+
+
+T = np.linspace(0.0, 1.0, 2048)
+
+
+class TestSmootherExtension:
+    @pytest.mark.parametrize("values, expected", [
+        pytest.param(lambda: _family(2, 3789240271), "periodic", id="family-2-mode"),
+        pytest.param(lambda: _family(3, 7), "periodic", id="family-3-mode"),
+        pytest.param(lambda: np.cos(2 * np.pi * 40 * T), "periodic", id="cosine-40-cycles"),
+        # the even reflection kinks a sine at both ends; the periodic wrap is smooth
+        pytest.param(lambda: np.sin(2 * np.pi * 40 * T), "periodic", id="sine-40-cycles"),
+        pytest.param(lambda: np.cos(2 * np.pi * 32 * T) + np.cos(2 * np.pi * 96 * T),
+                     "periodic", id="two-tones"),
+        pytest.param(lambda: 0.5 + np.cos(2 * np.pi * 40 * T), "periodic", id="dc-plus-tone"),
+        pytest.param(lambda: np.zeros(2048), "periodic", id="zero"),
+        # C^1 across the wrap, but both frequencies jump there (5 -> 10, 10 -> 20 Hz)
+        pytest.param(_mixing, "mirror", id="mode-mixing"),
+        pytest.param(lambda: np.cos(2 * np.pi * 40.3 * T), "mirror", id="tone-40.3-cycles"),
+        pytest.param(lambda: np.cos(2 * np.pi * 40 * T) + 2 * T, "mirror", id="tone-plus-trend"),
+        pytest.param(lambda: np.cos(2 * np.pi * (60 * T + 45 * T**2)), "mirror", id="chirp"),
+        # an unscaled |rfft|^2 overflows to nan at 1e160
+        pytest.param(lambda: 1e160 * _mixing(), "mirror", id="mode-mixing-times-1e160"),
+        pytest.param(lambda: 1e-200 * _mixing(), "mirror", id="mode-mixing-times-1e-200"),
+    ])
+    def test_picks_the_extension_that_leaks_least(self, values, expected):
+        assert smoother_extension(values()) == expected
 
 
 def moving_average_reference(x: np.ndarray, window: int) -> np.ndarray:
