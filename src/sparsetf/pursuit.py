@@ -52,10 +52,11 @@ class PursuitConfig:
     """Knobs for the pursuit and its inner solver.
 
     ``inner_tol`` ends the inner solve once the largest phase correction is
-    below it (in cycles) or an accepted step lowers the objective by at most
-    ``(2*pi*inner_tol)**2 * ||r||^2``; ``delta`` is the wavelet half-bandwidth
-    used for ridge seeding and as the frequency floor factor.  Every
-    extraction is seeded from the dominant transform ridge of the residual.
+    below it (in cycles) or a step moves the objective by at most
+    ``(2*pi*inner_tol)**2 * ||r||^2`` (see ``solve_p2``); ``delta`` is the
+    wavelet half-bandwidth used for ridge seeding and as the frequency floor
+    factor.  Every extraction is seeded from the dominant transform ridge of
+    the residual.
     """
 
     params: DictionaryParams
@@ -134,19 +135,36 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
 
 
 def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
-                   delta: float) -> np.ndarray:
-    """Smooth the implied frequency, clamp it positive, re-integrate.
+                   delta: float, extension: str) -> np.ndarray:
+    """Smooth the implied frequency over one carrier period, clamp it positive,
+    re-integrate.
 
-    The frequency floor is ``(1-delta) * min(theta_cur')``; the phase value
-    at the span midpoint is preserved.
+    Under ``periodic`` the span is one period: the detrended phase
+    ``theta - adv*t/T`` (``adv`` the advance across the span) is
+    differentiated and smoothed across the wrap, and the result keeps a whole
+    number of cycles, ``2*pi*max(1, round(adv/(2*pi)))``.  Under ``mirror``
+    the derivative is one-sided and the average reflects evenly at the span
+    ends, and the advance is left free.  The frequency floor is
+    ``(1-delta) * min(theta_cur')``; the phase value at the span midpoint is
+    preserved.
     """
-    om = differentiate(theta_raw, h)
-    window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
-    om = moving_average(om, window)
+    n = theta_raw.size
+    if extension == "periodic":
+        adv = theta_raw[-1] - theta_raw[0]
+        window = min(int(round(2.0 * np.pi * (n - 1) / max(adv, 1e-300))), n)
+        pad = window // 2 + 1
+        wrapped = np.pad((theta_raw - adv * np.linspace(0.0, 1.0, n))[:-1], pad, mode="wrap")
+        om = moving_average(differentiate(wrapped, h), window)[pad : pad + n] + adv / ((n - 1) * h)
+    else:
+        om = differentiate(theta_raw, h)
+        window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
+        om = moving_average(om, window)
     floor = (1.0 - delta) * float(np.min(differentiate(theta_cur, h)))
     om = np.maximum(om, floor)
     theta = cumulative_integral(om, h)
-    mid = theta_raw.size // 2
+    if extension == "periodic":
+        theta *= 2.0 * np.pi * max(1.0, np.round(adv / (2.0 * np.pi))) / theta[-1]
+    mid = n // 2
     return theta - theta[mid] + theta_raw[mid]
 
 
@@ -161,11 +179,14 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     slow-variation metrics stay within ``params.epsilon`` (the constraint set
     of the fit); on a rejection the step is halved and retried, and two
     consecutive rejections return the best admissible iterate with
-    ``converged=False``, as does ``INNER_MAX_ITER``.  At full bandwidth the
-    solve converges once the largest phase correction is below ``inner_tol``
-    cycles, or once an accepted step lowers the objective by at most
-    ``(2*pi*inner_tol)**2 * ||r||^2``: near the optimum, the most a phase
-    step of ``inner_tol`` cycles can move it.  ``extension``: see ``extend_span``.
+    ``converged=False``, as does ``INNER_MAX_ITER``.  A candidate whose
+    objective lies within ``(2*pi*inner_tol)**2 * ||r||^2`` of the last
+    accepted one, above or below, is a flat step: near the optimum that is the
+    most a phase step of ``inner_tol`` cycles can move it.  Below full
+    bandwidth every accepted step opens the next cutoff stage, and so does a
+    flat step that is not accepted.  At full bandwidth the solve converges on
+    a flat step or once the largest phase correction is below ``inner_tol``
+    cycles.  ``extension``: see ``extend_span``.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -198,7 +219,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
             amp = np.hypot(a_t, b_t)
             phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
             rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
-        theta_new = _project_phase(theta + damp * phi, theta, h, cfg.delta)
+        theta_new = _project_phase(theta + damp * phi, theta, h, cfg.delta, extension)
         # project onto (a margin around) the constraint set: tame the envelope
         # until the pair is admissible; candidates whose advantage lives in
         # inadmissible wiggles lose it here and fail the objective gate below
@@ -206,6 +227,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
         if tamed is not None:
             pair = tamed
             obj = p2_objective(r, pair)
+        flat = tamed is not None and abs(obj - history[-1]) <= stall
         if tamed is not None and obj <= history[-1] + slack:
             history.append(obj)
             if obj < best_obj:
@@ -215,14 +237,17 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
             consecutive_bad = 0
             if not at_full_bandwidth:
                 stage += 1
+        elif flat and not at_full_bandwidth:  # a flat step opens the next stage unaccepted
+            damp = 1.0
+            consecutive_bad = 0
+            stage += 1
         else:
             consecutive_bad += 1
             damp *= 0.5
-            if consecutive_bad >= 2:
-                break
-        stalled = consecutive_bad == 0 and history[-2] - history[-1] <= stall  # on acceptance
-        if at_full_bandwidth and (rel_update < cfg.inner_tol or stalled) and best_pair is not None:
+        if at_full_bandwidth and (rel_update < cfg.inner_tol or flat) and best_pair is not None:
             converged = True
+            break
+        if consecutive_bad >= 2:
             break
     if best_pair is None:
         # no admissible improving step exists; report the best admissible
@@ -258,8 +283,9 @@ def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitCo
     """Envelope-only fit at a fixed phase, low-passed until admissible.
 
     Halves the envelope bandwidth until the pair passes the slow-variation
-    check; falls back to the mean of the widest-band envelope as a constant
-    envelope, which always passes.
+    check; failing that, returns the mean of the widest-band envelope as a
+    constant envelope, unchecked: the phase alone can break the metrics, so
+    that pair may lie outside the dictionary.
     """
     cutoff = LOWPASS_FRACTION / 8.0
     for k in range(8):
@@ -302,47 +328,6 @@ def partition_domain(theta_prime, d: float) -> np.ndarray:
     return np.asarray(breakpoints, dtype=int)
 
 
-def _stitch_segments(segs: list[tuple[np.ndarray, np.ndarray]], t0: float, t1: float,
-                     n: int) -> PhasePair | None:
-    """Join per-segment (a, theta) snippets; adjacent segments overlap by one sample.
-
-    Each later segment is shifted by the whole-cycle multiple of 2*pi that
-    best matches the shared boundary sample.  Returns None if the joined
-    phase fails to be strictly increasing.
-    """
-    amp = segs[0][0].copy()
-    theta = segs[0][1].copy()
-    for a_s, th_s in segs[1:]:
-        offset = 2.0 * np.pi * np.round((theta[-1] - th_s[0]) / (2.0 * np.pi))
-        th_s = th_s + offset
-        amp[-1] = 0.5 * (amp[-1] + a_s[0])
-        amp = np.concatenate([amp, a_s[1:]])
-        theta = np.concatenate([theta, th_s[1:]])
-    if amp.size != n or np.any(np.diff(theta) <= 0):
-        return None
-    return PhasePair(t0, t1, amp, theta)
-
-
-def _segmentwise_extract(r: SampledSignal, pair: PhasePair, breakpoints: np.ndarray,
-                         cfg: PursuitConfig, extension: str) -> PhasePair | None:
-    """Re-solve the inner problem on each partition segment and stitch.
-
-    Used when an extracted mode both spans more than one sqrt(d) segment and
-    fails the admissibility metrics, the signature of a mix of different
-    underlying modes.
-    """
-    bounds = [0, *breakpoints.tolist(), r.n - 1]
-    t = r.times()
-    segs = []
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
-        if s1 - s0 < 8:  # too short to demodulate
-            return None
-        sub = SampledSignal(t[s0], t[s1], r.values[s0 : s1 + 1])
-        res = solve_p2(sub, pair.theta[s0 : s1 + 1], cfg, extension)
-        segs.append((res.pair.a, res.pair.theta))
-    return _stitch_segments(segs, r.t0, r.t1, r.n)
-
-
 def _seed_phase(residual: SampledSignal, cfg: PursuitConfig, extension: str) -> np.ndarray | None:
     """Initial phase from the dominant transform ridge of the residual."""
     w = make_wavelet(cfg.delta)
@@ -378,18 +363,10 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
             no_progress = True
             break
         res = solve_p2(residual, theta_init, cfg, extension)
-        pair = res.pair
-        objective = res.objective
-        if objective >= res.history[0] * (1.0 - 1e-12):  # history[0] is ||residual||^2
+        if res.objective >= res.history[0] * (1.0 - 1e-12):  # history[0] is ||residual||^2
             no_progress = True
             break
-        breakpoints = partition_domain(pair.theta_prime(), cfg.params.d)
-        if breakpoints.size > 0 and not check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
-            stitched = _segmentwise_extract(residual, pair, breakpoints, cfg, extension)
-            if stitched is not None:
-                stitched_obj = p2_objective(residual, stitched)
-                if stitched_obj < objective:
-                    pair, objective = stitched, stitched_obj
+        pair = res.pair
         extracted.append(pair)
         residual = SampledSignal(f.t0, f.t1, residual.values - pair.a * np.cos(pair.theta))
 

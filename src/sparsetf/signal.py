@@ -146,16 +146,12 @@ class DictionaryParams:
         Separation factor bounding ``|a'/theta'|`` and ``|theta''/theta'^2|``.
     d
         Minimum pointwise frequency ratio between adjacent components.
-    m_prime
-        Bound on ``sup theta' / inf theta'`` for a single component; the
-        generators record it, the pursuit does not enforce it.
     epsilon0
         Residual threshold (in signal units) that stops the pursuit.
     """
 
     epsilon: float
     d: float
-    m_prime: float = 2.0
     epsilon0: float = 1e-2
 
     def __post_init__(self):
@@ -163,8 +159,6 @@ class DictionaryParams:
             raise InvalidInputError(f"epsilon must be in (0,1), got {self.epsilon}")
         if not self.d > 1:
             raise InvalidInputError(f"d must exceed 1, got {self.d}")
-        if not self.m_prime >= 1:
-            raise InvalidInputError(f"m_prime must be >= 1, got {self.m_prime}")
         if not self.epsilon0 > 0:
             raise InvalidInputError(f"epsilon0 must be positive, got {self.epsilon0}")
 

@@ -48,11 +48,10 @@ def _measured_params(pairs, fallback_d: float, epsilon0: float) -> DictionaryPar
     reports = [check_scale_separation(p, eps=1.0) for p in pairs]
     eps = max(r.eps_measured for r in reports)
     eps = min(max(eps, 1e-12), 1.0 - 1e-12)
-    mp = max(r.m_prime for r in reports)
     d = check_well_separated(list(pairs)) if len(pairs) >= 2 else fallback_d
     # frequencies that touch give a measured ratio of 1; clamp into the open domain
     d = max(d, np.nextafter(1.0, 2.0))
-    return DictionaryParams(epsilon=eps, d=d, m_prime=max(mp, 1.0), epsilon0=epsilon0)
+    return DictionaryParams(epsilon=eps, d=d, epsilon0=epsilon0)
 
 
 def gen_crossing_example(k: int, n: int):

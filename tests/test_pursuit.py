@@ -15,8 +15,7 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError,
                       PursuitConfig, SampledSignal, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
-from sparsetf.pursuit import (_demodulate, _lowpass_sharp, _seed_phase, _segmentwise_extract,
-                              _stitch_segments)
+from sparsetf.pursuit import _demodulate, _lowpass_sharp, _seed_phase
 
 from conftest import tone, tone_pair
 
@@ -101,6 +100,26 @@ class TestSolve:
         # inner_tol=1e-12 turns both the phase-step and the stall stop off
         full = solve_p2(f, theta, replace(cfg, inner_tol=1e-12))
         assert res.objective - full.objective <= 2 * (2 * np.pi * 1e-4) ** 2 * res.history[0]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_periodic_fit_removes_an_end_kink(self, sign, at_end):
+        # the 64 Hz mode of family signal 0 (seed 1, the benchmark's 2-mode
+        # configuration), started from its true phase plus a 0.9 rad kink at
+        # one span end; with one-sided ends and a free advance the fit kept
+        # half of the kink and ended at rel-L2 0.03-0.04
+        f, gt = gen_random_well_separated(2, 2.0, 0.05, 4245214700, 8192, base_freq=64)
+        cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
+                                             epsilon0=0.05 * f.norm()),
+                            max_components=4, voices=16, delta=0.15)
+        true, other = sorted(gt.pairs, key=lambda p: float(np.mean(p.theta_prime())))
+        assert np.mean(true.theta_prime()) == pytest.approx(2 * np.pi * 64, rel=1e-4)
+        t = f.times()
+        kink = sign * 0.9 * np.exp(-np.abs(t - (f.t1 if at_end else f.t0)) / 0.02)
+        r = SampledSignal(f.t0, f.t1, f.values - other.mode().values)
+        res = solve_p2(r, true.theta + kink, cfg, "periodic")
+        err = SampledSignal(f.t0, f.t1, res.pair.mode().values - true.mode().values)
+        assert err.norm() / true.mode().norm() <= 1e-3
 
     def test_non_monotone_init_raises(self):
         n = 512
@@ -222,48 +241,6 @@ class TestPartition:
         ramp = np.exp(np.linspace(0.0, 3.0, 20_000))
         tp = ramp * (1 + 0.01 * np.random.default_rng(3).random(ramp.size))
         assert np.array_equal(partition_domain(tp, d), partition_reference(tp, d))
-
-
-class TestStitching:
-    def test_stitch_aligns_whole_cycles(self):
-        n = 201
-        t = np.linspace(0, 1, n)
-        theta = 2 * np.pi * 20 * t
-        mid = n // 2
-        seg1 = (np.ones(mid + 1), theta[: mid + 1])
-        seg2 = (np.ones(n - mid), theta[mid:] - 6 * np.pi + 0.05)  # shifted by 3 cycles
-        pair = _stitch_segments([seg1, seg2], 0.0, 1.0, n)
-        assert pair is not None
-        jumps = np.diff(pair.theta)
-        assert np.all(jumps > 0)
-        assert np.max(np.abs(pair.theta - (theta + np.round((pair.theta[0] - theta[0]) / np.pi) * np.pi))) < 0.1
-
-    def test_segmentwise_extraction_stitches_cleanly(self):
-        # one mode whose frequency ramps across more than sqrt(d): per-segment
-        # solves must come back as a single monotone pair with whole-cycle
-        # phase alignment at the breakpoints and a comparable fit
-        n = 8192
-        t = np.linspace(0, 1, n)
-        theta_true = 2 * np.pi * (60 * t + 45 * t**2)  # 60 -> 150 Hz
-        r = SampledSignal(0, 1, np.cos(theta_true))
-        cfg = default_cfg(params=DictionaryParams(0.1, 4.0, epsilon0=1e-3))
-        init = theta_true * (1 + 3e-3)
-        base = solve_p2(r, init, cfg, "mirror")
-        bps = partition_domain(np.gradient(base.pair.theta, 1 / (n - 1)), 4.0)
-        assert bps.size >= 1
-        stitched = _segmentwise_extract(r, base.pair, bps, cfg, "mirror")
-        assert stitched is not None
-        assert np.all(np.diff(stitched.theta) > 0)
-        assert np.all(stitched.a > 0)
-        # no phase tear at the joins: the mismatch across each breakpoint is a
-        # small fraction of a cycle, not a half-cycle flip
-        dtheta = stitched.theta - theta_true
-        dtheta -= 2 * np.pi * np.round(np.median(dtheta) / (2 * np.pi))
-        for b in bps:
-            assert abs(dtheta[b] - dtheta[b - 1]) < 0.5
-        assert np.max(np.abs(dtheta)) < 1.5
-        rel_misfit = np.sqrt(p2_objective(r, stitched)) / r.norm()
-        assert rel_misfit < 0.1
 
 
 class TestMatchingPursuit:

@@ -136,8 +136,6 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             DictionaryParams(epsilon=0.1, d=1.0)
         with pytest.raises(InvalidInputError):
-            DictionaryParams(epsilon=0.1, d=2.0, m_prime=0.5)
-        with pytest.raises(InvalidInputError):
             DictionaryParams(epsilon=0.1, d=2.0, epsilon0=0.0)
 
     def test_decomposition_reconstructs_signal(self):

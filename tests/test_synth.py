@@ -73,7 +73,8 @@ class TestModeMixing:
         _, gt, _ = gen_mode_mixing_example(2**14)
         assert gt.params.epsilon == pytest.approx(1 / (10 * np.pi), rel=1e-3)
         assert gt.params.d == pytest.approx(2.0, rel=1e-6)
-        assert gt.params.m_prime == pytest.approx(2.0, rel=1e-3)
+        m_prime = max(check_scale_separation(p, 1.0).m_prime for p in gt.pairs)
+        assert m_prime == pytest.approx(2.0, rel=1e-3)
 
     def test_undersampled_raises(self):
         with pytest.raises(InvalidInputError):
