@@ -6,9 +6,9 @@ alternating demodulation: resample onto a uniform phase grid, split the
 signal into in-phase/quadrature envelopes with a sharp low-pass filter in the
 phase domain, convert the quadrature part into a phase correction, then
 smooth and re-integrate the frequency under a positivity floor.  The outer
-loop seeds each extraction from the dominant transform ridge of the residual
-and subtracts accepted modes until the residual norm falls below the
-threshold.
+loop seeds each extraction from the transform ridges of the residual, the
+strongest first, and subtracts accepted modes until the residual norm falls
+below the threshold.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class PursuitConfig:
     below it (in cycles) or a step moves the objective by at most
     ``(2*pi*inner_tol)**2 * ||r||^2`` (see ``solve_p2``); ``delta`` is the
     wavelet half-bandwidth used for ridge seeding and as the frequency floor
-    factor.  Every extraction is seeded from the dominant transform ridge of
-    the residual.
+    factor.  Every extraction is seeded from the transform ridges of the
+    residual (see ``matching_pursuit``).
     """
 
     params: DictionaryParams
@@ -80,9 +80,11 @@ class P2Result:
 
     ``history`` starts with the empty-fit objective ``||r||^2`` and then
     lists the objective after each accepted iteration; it is non-increasing.
+    ``pair`` is None when no iterate was admissible, and ``objective`` is then
+    ``||r||^2``.
     """
 
-    pair: PhasePair
+    pair: PhasePair | None
     objective: float
     iterations: int
     converged: bool
@@ -176,17 +178,19 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     (a, b) are the low-passed in-phase/quadrature envelopes, followed by
     smoothing and a positivity projection of the frequency.  A candidate is
     accepted only if its objective does not increase and its measured
-    slow-variation metrics stay within ``params.epsilon`` (the constraint set
-    of the fit); on a rejection the step is halved and retried, and two
-    consecutive rejections return the best admissible iterate with
-    ``converged=False``, as does ``INNER_MAX_ITER``.  A candidate whose
-    objective lies within ``(2*pi*inner_tol)**2 * ||r||^2`` of the last
-    accepted one, above or below, is a flat step: near the optimum that is the
-    most a phase step of ``inner_tol`` cycles can move it.  Below full
-    bandwidth every accepted step opens the next cutoff stage, and so does a
-    flat step that is not accepted.  At full bandwidth the solve converges on
-    a flat step or once the largest phase correction is below ``inner_tol``
-    cycles.  ``extension``: see ``extend_span``.
+    slow-variation metrics stay within ``ADMISSIBILITY_MARGIN *
+    params.epsilon`` (the constraint set of the fit); on a rejection the step
+    is halved and retried, and two consecutive rejections return the best
+    admissible iterate with ``converged=False``, as does ``INNER_MAX_ITER``.
+    With no admissible iterate there is no pair (``pair=None``, objective
+    ``||r||^2``, ``converged=False``), so every pair returned passes that
+    gate.  A candidate whose objective lies within ``(2*pi*inner_tol)**2 *
+    ||r||^2`` of the last accepted one, above or below, is a flat step: near
+    the optimum that is the most a phase step of ``inner_tol`` cycles can
+    move it.  Below full bandwidth every accepted step opens the next cutoff
+    stage, and so does a flat step that is not accepted.  At full bandwidth
+    the solve converges on a flat step or once the largest phase correction
+    is below ``inner_tol`` cycles.  ``extension``: see ``extend_span``.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -249,11 +253,8 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
             break
         if consecutive_bad >= 2:
             break
-    if best_pair is None:
-        # no admissible improving step exists; report the best admissible
-        # envelope at the initial phase (progressively tamed until it passes)
-        best_pair, best_obj = _admissible_envelope_fit(r, theta, cfg, a_floor, extension)
-        converged = False
+    if best_pair is None:  # no admissible iterate: no pair, and the empty fit
+        best_obj = history[0]
     return P2Result(best_pair, float(best_obj), iterations, converged, tuple(history))
 
 
@@ -276,28 +277,6 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
         cutoff *= 0.5
         cur = _lowpass_sharp(amp, cutoff, extension)
     return None
-
-
-def _admissible_envelope_fit(r: SampledSignal, theta: np.ndarray, cfg: PursuitConfig,
-                             a_floor: float, extension: str):
-    """Envelope-only fit at a fixed phase, low-passed until admissible.
-
-    Halves the envelope bandwidth until the pair passes the slow-variation
-    check; failing that, returns the mean of the widest-band envelope as a
-    constant envelope, unchecked: the phase alone can break the metrics, so
-    that pair may lie outside the dictionary.
-    """
-    cutoff = LOWPASS_FRACTION / 8.0
-    for k in range(8):
-        a_t, _ = _demodulate(r.values, theta, cutoff, extension)
-        if k == 0:
-            widest = a_t
-        pair = PhasePair(r.t0, r.t1, np.maximum(a_t, a_floor), theta)
-        if check_scale_separation(pair, cfg.params.epsilon).in_dictionary:
-            return pair, p2_objective(r, pair)
-        cutoff *= 0.5
-    pair = PhasePair(r.t0, r.t1, np.full(r.n, max(float(np.mean(widest)), a_floor)), theta)
-    return pair, p2_objective(r, pair)
 
 
 def partition_domain(theta_prime, d: float) -> np.ndarray:
@@ -328,26 +307,25 @@ def partition_domain(theta_prime, d: float) -> np.ndarray:
     return np.asarray(breakpoints, dtype=int)
 
 
-def _seed_phase(residual: SampledSignal, cfg: PursuitConfig, extension: str) -> np.ndarray | None:
-    """Initial phase from the dominant transform ridge of the residual."""
+def _seed_phases(residual: SampledSignal, cfg: PursuitConfig, extension: str) -> list:
+    """Initial phases from the transform ridges of the residual, largest mode norm first."""
     w = make_wavelet(cfg.delta)
     try:
         pairs = recover_components(residual, w, voices=cfg.voices, extension=extension)
     except InvalidInputError:
-        return None
-    if not pairs:
-        return None
-    dominant = max(pairs, key=lambda p: p.mode().norm())
-    return dominant.theta.copy()
+        return []
+    return [p.theta for p in sorted(pairs, key=lambda p: p.mode().norm(), reverse=True)]
 
 
 def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     """Decompose a signal by greedy extraction of one mode at a time.
 
-    Stops when the residual norm drops below ``params.epsilon0``, when
-    ``max_components`` is reached, or with the ``no_progress`` flag set when
-    no ridge rises above the floor or the solver fails to reduce the
-    residual.  Components are returned ordered by increasing mean frequency,
+    Each extraction solves from the seeding's ridge phases in turn, largest
+    mode norm first, until a solve returns a pair.  Stops when the residual
+    norm drops below ``params.epsilon0``, when ``max_components`` is reached,
+    or with the ``no_progress`` flag set when no ridge gives an admissible
+    fit, the fit does not reduce the residual, or the fitted mode's norm is
+    below ``epsilon0`` (not significant).  Components are returned ordered by increasing mean frequency,
     with the extraction order recorded.  Spans extend as ``smoother_extension(f)``.
     """
     extension = smoother_extension(f.values)
@@ -358,15 +336,18 @@ def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     for _ in range(cfg.max_components):
         if residual.norm() < eps0:
             break
-        theta_init = _seed_phase(residual, cfg, extension)
-        if theta_init is None:
-            no_progress = True
-            break
-        res = solve_p2(residual, theta_init, cfg, extension)
-        if res.objective >= res.history[0] * (1.0 - 1e-12):  # history[0] is ||residual||^2
+        for theta_init in _seed_phases(residual, cfg, extension):
+            res = solve_p2(residual, theta_init, cfg, extension)
+            if res.pair is not None:
+                break
+        else:  # no ridge, or no admissible fit from any of them
             no_progress = True
             break
         pair = res.pair
+        # history[0] is ||residual||^2; a mode below epsilon0 is not significant
+        if res.objective >= res.history[0] * (1.0 - 1e-12) or pair.mode().norm() < eps0:
+            no_progress = True
+            break
         extracted.append(pair)
         residual = SampledSignal(f.t0, f.t1, residual.values - pair.a * np.cos(pair.theta))
 

@@ -12,10 +12,10 @@ from scipy.interpolate import CubicSpline
 
 import sparsetf
 from sparsetf import (Decomposition, DictionaryParams, InvalidInputError,
-                      PursuitConfig, SampledSignal, compare_decompositions,
+                      PursuitConfig, SampledSignal, check_scale_separation, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
-from sparsetf.pursuit import _demodulate, _lowpass_sharp, _seed_phase
+from sparsetf.pursuit import ADMISSIBILITY_MARGIN, _demodulate, _lowpass_sharp, _seed_phases
 
 from conftest import tone, tone_pair
 
@@ -23,6 +23,21 @@ from conftest import tone, tone_pair
 def default_cfg(**kw):
     params = kw.pop("params", DictionaryParams(0.05, 2.0, epsilon0=kw.pop("epsilon0", 1e-2)))
     return PursuitConfig(params=params, **kw)
+
+
+def family_signal_10():
+    """Family signal 10 of seed 1 with the benchmark's 2-mode configuration."""
+    f, gt = gen_random_well_separated(2, 2.0, 0.05, 3028352078, 8192, base_freq=64)
+    cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
+                                         epsilon0=0.05 * f.norm()),
+                        max_components=4, voices=16, delta=0.15)
+    return f, gt, cfg
+
+
+def assert_admissible(dec, cfg):
+    """Every component lies within the inner solver's gate around the dictionary."""
+    for c in dec.components:
+        assert check_scale_separation(c, ADMISSIBILITY_MARGIN * cfg.params.epsilon).in_dictionary
 
 
 class TestObjective:
@@ -94,12 +109,21 @@ class TestSolve:
         cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
                                              epsilon0=0.05 * f.norm()),
                             max_components=4, voices=16, delta=0.15)
-        theta = _seed_phase(f, cfg, "periodic")
+        theta = _seed_phases(f, cfg, "periodic")[0]
         res = solve_p2(f, theta, cfg)
         assert res.converged and res.iterations < 15
         # inner_tol=1e-12 turns both the phase-step and the stall stop off
         full = solve_p2(f, theta, replace(cfg, inner_tol=1e-12))
         assert res.objective - full.objective <= 2 * (2 * np.pi * 1e-4) ** 2 * res.history[0]
+
+    def test_no_admissible_iterate_gives_no_pair(self):
+        # from the first ridge of family signal 10 (64 Hz) no iterate passes
+        # the admissibility gate, so the solve has no pair to offer
+        f, _, cfg = family_signal_10()
+        res = solve_p2(f, _seed_phases(f, cfg, "periodic")[0], cfg)
+        assert res.pair is None
+        assert not res.converged
+        assert res.objective == res.history[0]
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("at_end", [False, True])
@@ -304,6 +328,39 @@ class TestMatchingPursuit:
         assert dec.n_components == 1
         freq = np.mean(dec.components[0].theta_prime()) / (2 * np.pi)
         assert freq == pytest.approx(40.3, rel=0.01)
+
+    def test_retry_from_the_next_ridge_recovers_family_signal_10(self):
+        # the first ridge gives no admissible fit (see TestSolve), so the
+        # pursuit solves from the next one (147 Hz) and takes the 64 Hz mode
+        # from the residual after it
+        f, gt, cfg = family_signal_10()
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 2
+        truth = Decomposition(gt.pairs, SampledSignal(f.t0, f.t1, np.zeros(f.n)))
+        rep = compare_decompositions(truth, dec)
+        assert len(rep.matched) == 2
+        assert max(rep.recon_rel_l2_errors) <= 1e-2
+        assert_admissible(dec, cfg)
+
+    def test_mode_mixing_components_are_admissible(self):
+        f, _, _ = gen_mode_mixing_example(4096)
+        cfg = default_cfg(epsilon0=max(1e-2, 0.05 * f.norm()))  # the CLI defaults
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 2
+        assert_admissible(dec, cfg)
+
+    @pytest.mark.parametrize("n", [2048, 8192])
+    def test_insignificant_mode_ends_the_pursuit(self, n):
+        # after the tone the residual is the DC offset, whose ridges give
+        # modes of norm near 0, far below epsilon0; they are not
+        # significant, and the DC stays in the residual
+        t = np.linspace(0, 1, n)
+        f = SampledSignal(0, 1, 0.5 + np.cos(2 * np.pi * 64 * t))
+        dec = matching_pursuit(f, default_cfg(epsilon0=max(1e-2, 0.05 * f.norm())))
+        assert dec.n_components == 1
+        assert dec.no_progress
+        assert np.mean(dec.components[0].theta_prime()) / (2 * np.pi) == pytest.approx(64.0, rel=1e-3)
+        assert dec.residual.norm() == pytest.approx(0.5, rel=1e-3)
 
     def test_zero_signal_gives_empty_decomposition(self):
         f = SampledSignal(0, 1, np.zeros(2048))
