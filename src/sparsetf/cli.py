@@ -87,33 +87,28 @@ def cmd_synth(args) -> int:
     if args.example == "crossing":
         f, gt_a, gt_b = gen_crossing_example(args.k, args.n or 64 * args.k)
         sio.write_signal_csv(out / "signal.csv", f)
-        _dump(out / "ground_truth.json", sio.ground_truth_to_dict(gt_a))
-        _dump(out / "ground_truth_alternative.json", sio.ground_truth_to_dict(gt_b))
+        sio.write_json(out / "ground_truth.json", sio.ground_truth_to_dict(gt_a))
+        sio.write_json(out / "ground_truth_alternative.json", sio.ground_truth_to_dict(gt_b))
         config = {"example": "crossing", "k": args.k, "n": f.n}
     elif args.example == "mode-mixing":
         f, gt, spurious = gen_mode_mixing_example(args.n or 2**15)
         sio.write_signal_csv(out / "signal.csv", f)
-        _dump(out / "ground_truth.json", sio.ground_truth_to_dict(gt))
-        _dump(out / "spurious_pair.json",
-              {"a": spurious.a.tolist(), "theta": spurious.theta.tolist()})
+        sio.write_json(out / "ground_truth.json", sio.ground_truth_to_dict(gt))
+        sio.write_json(out / "spurious_pair.json",
+                       {"a": spurious.a.tolist(), "theta": spurious.theta.tolist()})
         config = {"example": "mode-mixing", "n": f.n}
     else:
         d = _settings(args)["d"]
         f, gt = gen_random_well_separated(args.m, d, args.eps_target, args.seed,
                                           args.n or 4096, noise_amplitude=args.noise)
         sio.write_signal_csv(out / "signal.csv", f)
-        _dump(out / "ground_truth.json", sio.ground_truth_to_dict(gt))
+        sio.write_json(out / "ground_truth.json", sio.ground_truth_to_dict(gt))
         config = {"example": "random", "m": args.m, "d": d,
                   "eps_target": args.eps_target, "seed": args.seed, "n": f.n,
                   "noise": args.noise}
     sio.write_run_manifest(out, "synth", config, [out / "signal.csv"])
     print(f"wrote {out / 'signal.csv'}")
     return EXIT_OK
-
-
-def _dump(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
 
 
 def cmd_decompose(args) -> int:

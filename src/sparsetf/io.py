@@ -31,10 +31,12 @@ __all__ = [
     "scalogram_to_dict",
     "write_scalogram_json",
     "ground_truth_to_dict",
+    "write_json",
     "write_run_manifest",
 ]
 
 SPACING_RTOL = 1e-9
+JSON_CHUNK = 4096  # floats formatted per piece, which bounds the writer's working memory
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -66,6 +68,9 @@ def read_signal_csv(path) -> SampledSignal:
             raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
         if not math.isfinite(ts[-1]):
             raise InvalidInputError(f"{path}: line {lineno}: t must be finite, got {cells[0]!r}")
+        if not math.isfinite(vs[-1]):
+            raise InvalidInputError(
+                f"{path}: line {lineno}: value must be finite, got {cells[1]!r}")
     if len(ts) < 2:
         raise InvalidInputError(f"{path}: need at least 2 samples, got {len(ts)}")
     t = np.asarray(ts)
@@ -82,10 +87,9 @@ def read_signal_csv(path) -> SampledSignal:
 
 
 def write_signal_csv(path, s: SampledSignal):
+    rows = map("{!r},{!r}\n".format, s.times().tolist(), s.values.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,value\n")
-        for ti, vi in zip(s.times(), s.values):
-            fh.write(f"{float(ti)!r},{float(vi)!r}\n")
+        fh.write("t,value\n" + "".join(rows))
 
 
 def decomposition_to_dict(d: Decomposition) -> dict:
@@ -116,9 +120,50 @@ def decomposition_from_dict(obj: dict) -> Decomposition:
     return Decomposition(tuple(comps), residual)
 
 
-def write_decomposition_json(path, d: Decomposition):
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj)`` in pieces, a list of floats ``JSON_CHUNK`` items a piece.
+
+    Dict keys must be strings.  A float list's ``repr`` is its JSON text
+    (``json`` writes a finite float as its ``repr``, with the same ", "
+    between items) once the non-finite values are spelt as ``json`` spells
+    them.  ``repr`` of the list builds one string, without a string object
+    per float.
+    """
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
+        yield "["
+        for i in range(0, len(obj), JSON_CHUNK):
+            if i:
+                yield ", "
+            text = repr(obj[i:i + JSON_CHUNK])[1:-1]
+            if "n" in text:  # nan, inf or -inf
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield text
+        yield "]"
+    elif isinstance(obj, list):
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(obj)
+
+
+def write_json(path, obj):
+    """Write the bytes ``json.dump(obj, fh)`` writes, one float list (or chunk of one) at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decomposition_to_dict(d), fh)
+        fh.writelines(_json_pieces(obj))
+
+
+def write_decomposition_json(path, d: Decomposition):
+    write_json(path, decomposition_to_dict(d))
 
 
 def read_decomposition_json(path) -> Decomposition:
@@ -146,8 +191,7 @@ def scalogram_to_dict(s: Scalogram) -> dict:
 
 
 def write_scalogram_json(path, s: Scalogram):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scalogram_to_dict(s), fh)
+    write_json(path, scalogram_to_dict(s))
 
 
 def ground_truth_to_dict(g: GroundTruth) -> dict:

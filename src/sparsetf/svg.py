@@ -66,7 +66,8 @@ def line_plot(path, x, series, title: str = "", labels=None):
     step = max(1, x.size // 2000)
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x[::step], s[::step]))
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx(x[::step]).tolist(),
+                           sy(s[::step]).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{width-_MARGIN:.1f}" y="{_MARGIN+14*(i+1):.1f}" '
                      f'text-anchor="end" fill="{color}">{labels[i]}</text>')

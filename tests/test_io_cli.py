@@ -1,21 +1,27 @@
 import hashlib
 import json
 from dataclasses import fields
+from unittest import mock
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from hypothesis.extra.numpy import arrays
 
 import sparsetf
 from sparsetf import (Decomposition, InvalidInputError, PhasePair, PursuitConfig,
                       SampledSignal, cwt, default_scales, gen_mode_mixing_example,
                       gen_random_well_separated, make_wavelet)
+from sparsetf import io as sio
 from sparsetf.cli import build_parser, main
 from sparsetf.io import (decomposition_from_dict, decomposition_to_dict,
-                         read_decomposition_json, read_signal_csv,
-                         scalogram_to_dict, write_decomposition_json,
-                         write_run_manifest, write_signal_csv)
+                         ground_truth_to_dict, read_decomposition_json, read_signal_csv,
+                         scalogram_to_dict, write_decomposition_json, write_json,
+                         write_run_manifest, write_scalogram_json, write_signal_csv)
+from sparsetf.svg import _LINE_SIZE, _MARGIN, _PALETTE, _fmt, _ticks, line_plot
 
 from conftest import tone, tone_pair
 
@@ -66,6 +72,19 @@ class TestSignalCsv:
             with pytest.raises(InvalidInputError, match=f"line {line}: t must be finite"):
                 read_signal_csv(path)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.2, 0.3, 0.4], [0.0, 0.1, 0.25, 0.5, 1.0]],
+                             ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("bad, row, line", [("nan", 4, 6), ("1e400", 1, 3), ("-inf", 0, 2)])
+    def test_non_finite_value_reports_line(self, tmp_path, times, bad, row, line):
+        rows = [f"{t},1.0" for t in times]
+        rows[row] = f"{times[row]},{bad}"
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"line {line}: value must be finite"):
+                read_signal_csv(path)
+
     def test_decreasing_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,value\n0.0,1.0\n0.2,1.0\n0.1,1.0\n")
@@ -105,6 +124,153 @@ class TestDecompositionJson:
         re = flat[0::2].reshape(len(obj["times"]), len(obj["scales"]))
         im = flat[1::2].reshape(len(obj["times"]), len(obj["scales"]))
         np.testing.assert_array_equal(re + 1j * im, s.coeffs)
+
+
+def write_signal_csv_reference(path, s: SampledSignal):
+    """The per-row signal writer that ``write_signal_csv`` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,value\n")
+        for ti, vi in zip(s.times(), s.values):
+            fh.write(f"{float(ti)!r},{float(vi)!r}\n")
+
+
+def line_plot_reference(path, x, series, title: str = "", labels=None):
+    """The per-point ``svg.line_plot`` that the vectorised one replaced."""
+    width, height = _LINE_SIZE
+    x = np.asarray(x, dtype=float)
+    series = [np.asarray(s, dtype=float) for s in series]
+    labels = labels or [f"series {i}" for i in range(len(series))]
+    ymin = min(float(np.min(s)) for s in series)
+    ymax = max(float(np.max(s)) for s in series)
+    if ymax == ymin:
+        ymax = ymin + 1.0
+    pad = 0.05 * (ymax - ymin)
+    ymin, ymax = ymin - pad, ymax + pad
+    w_in, h_in = width - 2 * _MARGIN, height - 2 * _MARGIN
+
+    def sx(v):
+        return _MARGIN + (v - x[0]) / (x[-1] - x[0]) * w_in
+
+    def sy(v):
+        return height - _MARGIN - (v - ymin) / (ymax - ymin) * h_in
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width/2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+    ]
+    for tv in _ticks(float(x[0]), float(x[-1])):
+        parts.append(f'<line x1="{sx(tv):.1f}" y1="{height-_MARGIN:.1f}" '
+                     f'x2="{sx(tv):.1f}" y2="{height-_MARGIN+4:.1f}" stroke="black"/>')
+        parts.append(f'<text x="{sx(tv):.1f}" y="{height-_MARGIN+16:.1f}" '
+                     f'text-anchor="middle">{_fmt(tv)}</text>')
+    for tv in _ticks(ymin, ymax):
+        parts.append(f'<line x1="{_MARGIN-4:.1f}" y1="{sy(tv):.1f}" '
+                     f'x2="{_MARGIN:.1f}" y2="{sy(tv):.1f}" stroke="black"/>')
+        parts.append(f'<text x="{_MARGIN-6:.1f}" y="{sy(tv)+3:.1f}" '
+                     f'text-anchor="end">{_fmt(tv)}</text>')
+    parts.append(f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w_in}" height="{h_in}" '
+                 'fill="none" stroke="black"/>')
+    step = max(1, x.size // 2000)
+    for i, s in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x[::step], s[::step]))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
+        parts.append(f'<text x="{width-_MARGIN:.1f}" y="{_MARGIN+14*(i+1):.1f}" '
+                     f'text-anchor="end" fill="{color}">{labels[i]}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+
+
+_EDGE_FLOATS = st_.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-308, 1 / 3])
+
+
+class TestWriterParity:
+    """Each writer's bytes equal those of the per-item code it replaced.
+
+    The JSON writers replaced ``json.dump(<x>_to_dict(...), fh)``, whose bytes
+    are ``json.dumps`` of the same dict.
+    """
+
+    def test_mode_mixing_decomposition(self, tmp_path):
+        sig, out = tmp_path / "mm.csv", tmp_path / "o"
+        write_signal_csv(sig, gen_mode_mixing_example(4096)[0])
+        assert run_cli("decompose", sig, "--out", out) == 0
+        text = (out / "decomposition.json").read_text()
+        # reading back is exact, so this is the dict the writer was given
+        d = read_decomposition_json(out / "decomposition.json")
+        assert d.n_components == 2
+        assert text == json.dumps(decomposition_to_dict(d))
+
+    def test_zero_component_decomposition(self, tmp_path):
+        d = Decomposition((), SampledSignal(0.0, 1.0, np.linspace(-1, 1, 65)))
+        write_decomposition_json(tmp_path / "d.json", d)
+        assert (tmp_path / "d.json").read_text() == json.dumps(decomposition_to_dict(d))
+
+    def test_scalogram(self, tmp_path):
+        f = tone(32.0, 257)
+        w = make_wavelet(0.2)
+        s = cwt(f, w, default_scales(f, w, voices=4))
+        with mock.patch.object(sio, "JSON_CHUNK", 100):  # several chunks per list
+            write_scalogram_json(tmp_path / "s.json", s)
+        assert (tmp_path / "s.json").read_text() == json.dumps(scalogram_to_dict(s))
+
+    def test_ground_truth(self, tmp_path):
+        _, gt = gen_random_well_separated(3, 2.0, 0.05, 5, 2048)
+        write_json(tmp_path / "g.json", ground_truth_to_dict(gt))
+        assert (tmp_path / "g.json").read_text() == json.dumps(ground_truth_to_dict(gt))
+
+    def test_synth_mode_mixing_files(self, tmp_path):
+        assert run_cli("synth", "--example", "mode-mixing", "--n", 4096, "--out", tmp_path) == 0
+        f, gt, spurious = gen_mode_mixing_example(4096)
+        assert (tmp_path / "ground_truth.json").read_text() == \
+            json.dumps(ground_truth_to_dict(gt))
+        assert (tmp_path / "spurious_pair.json").read_text() == \
+            json.dumps({"a": spurious.a.tolist(), "theta": spurious.theta.tolist()})
+        write_signal_csv_reference(tmp_path / "ref.csv", f)
+        assert (tmp_path / "signal.csv").read_text() == (tmp_path / "ref.csv").read_text()
+
+    @settings(deadline=None, max_examples=100)
+    @given(arrays(np.float64, st_.integers(0, 40),
+                  elements=st_.one_of(_EDGE_FLOATS, st_.floats(allow_nan=False,
+                                                               allow_infinity=False))),
+           st_.integers(1, 8))
+    def test_finite_float_lists(self, tmp_path_factory, x, chunk):
+        obj = {"x": x.tolist(), "nested": [{"a": x[::-1].tolist(), "n": x.size}, []],
+               "ints": [1, 2], "s": "t\u00e9"}
+        path = tmp_path_factory.getbasetemp() / "hyp.json"
+        with mock.patch.object(sio, "JSON_CHUNK", chunk):
+            write_json(path, obj)
+        assert path.read_text(encoding="utf-8") == json.dumps(obj)
+
+    def test_non_finite_floats_spelt_as_json_does(self, tmp_path):
+        obj = {"x": [float("nan"), float("inf"), 1.0, float("-inf")]}
+        write_json(tmp_path / "n.json", obj)
+        assert (tmp_path / "n.json").read_text() == json.dumps(obj)
+
+    @pytest.mark.parametrize("x, y", [
+        pytest.param(np.linspace(0, 1, 500), np.cos(np.linspace(0, 9, 500)), id="step_1"),
+        pytest.param(np.linspace(0, 2, 9001), np.sin(np.linspace(0, 40, 9001)), id="step_4"),
+        pytest.param(np.linspace(0, 1, 4096), np.full(4096, 0.7), id="constant"),
+        pytest.param(np.linspace(-3.5, -1.25, 333), np.linspace(-1, 2, 333) ** 3,
+                     id="negative_x"),
+    ])
+    def test_line_plot(self, tmp_path, x, y):
+        series, labels = [y, -0.5 * y], ["a(t)", "b(t)"]
+        line_plot(tmp_path / "new.svg", x, series, title="t", labels=labels)
+        line_plot_reference(tmp_path / "ref.svg", x, series, title="t", labels=labels)
+        assert (tmp_path / "new.svg").read_text() == (tmp_path / "ref.svg").read_text()
+
+    @pytest.mark.parametrize("signal", [
+        tone(17.0, 513),
+        SampledSignal(-2.5, 3.1, np.random.default_rng(3).standard_normal(1000) * 1e-7),
+    ], ids=["tone", "negative_start"])
+    def test_signal_csv(self, tmp_path, signal):
+        write_signal_csv(tmp_path / "new.csv", signal)
+        write_signal_csv_reference(tmp_path / "ref.csv", signal)
+        assert (tmp_path / "new.csv").read_text() == (tmp_path / "ref.csv").read_text()
 
 
 def run_cli(*argv):
