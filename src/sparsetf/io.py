@@ -127,7 +127,7 @@ def _json_pieces(obj):
     (``json`` writes a finite float as its ``repr``, with the same ", "
     between items) once the non-finite values are spelt as ``json`` spells
     them.  ``repr`` of the list builds one string, without a string object
-    per float.
+    per float.  A 1-d float array is written as its ``tolist()``, a chunk at a time.
     """
     if isinstance(obj, dict):
         yield "{"
@@ -135,12 +135,14 @@ def _json_pieces(obj):
             yield f"{', ' if i else ''}{json.dumps(key)}: "
             yield from _json_pieces(value)
         yield "}"
-    elif isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
+    elif isinstance(obj, np.ndarray) or (isinstance(obj, list) and obj
+                                          and set(map(type, obj)) == {float}):
         yield "["
         for i in range(0, len(obj), JSON_CHUNK):
             if i:
                 yield ", "
-            text = repr(obj[i:i + JSON_CHUNK])[1:-1]
+            chunk = obj[i:i + JSON_CHUNK]
+            text = repr(chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)[1:-1]
             if "n" in text:  # nan, inf or -inf
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             yield text
@@ -175,23 +177,26 @@ def read_decomposition_json(path) -> Decomposition:
     return decomposition_from_dict(obj)
 
 
-def scalogram_to_dict(s: Scalogram) -> dict:
-    """Times, scales, and the complex matrix as interleaved re/im, row-major by time."""
-    interleaved = np.empty(s.coeffs.size * 2)
-    interleaved[0::2] = s.coeffs.real.ravel(order="C")
-    interleaved[1::2] = s.coeffs.imag.ravel(order="C")
+def _scalogram_fields(s: Scalogram) -> dict:
+    """``scalogram_to_dict`` with arrays: complex128's doubles are already re, im, re, ..."""
     return {
-        "times": s.times.tolist(),
-        "scales": s.scales.tolist(),
+        "times": s.times,
+        "scales": s.scales,
         "delta": s.wavelet.delta,
         "extension": s.extension,
-        "coeffs_interleaved": interleaved.tolist(),
+        "coeffs_interleaved": np.ascontiguousarray(s.coeffs).view(np.float64).ravel(),
         "unresolved_scales": list(s.unresolved_scales),
     }
 
 
+def scalogram_to_dict(s: Scalogram) -> dict:
+    """Times, scales, and the complex matrix as interleaved re/im, row-major by time."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in _scalogram_fields(s).items()}
+
+
 def write_scalogram_json(path, s: Scalogram):
-    write_json(path, scalogram_to_dict(s))
+    write_json(path, _scalogram_fields(s))  # the coefficients become floats a chunk at a time
 
 
 def ground_truth_to_dict(g: GroundTruth) -> dict:

@@ -365,6 +365,26 @@ def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "p
                      unresolved)
 
 
+#: ``(pair, basis)`` of the pair probed last, the one pair held; a frozen
+#: ``PhasePair`` over read-only copies cannot make its basis stale.
+_last_probe_basis: tuple = (None, None)
+
+
+def _probe_basis(pair: PhasePair) -> tuple:
+    """What the probes of ``pair`` share: ``(report, theta', max a, alpha, Y)``."""
+    global _last_probe_basis
+    last = _last_probe_basis  # one read: a concurrent caller may replace it
+    if last[0] is pair:
+        return last[1]
+    P = pair.n - 1
+    alpha = (pair.theta[-1] - pair.theta[0]) / P
+    Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
+    basis = (check_scale_separation(pair, eps=1.0), pair.theta_prime(), float(np.max(pair.a)),
+             alpha, Y)
+    _last_probe_basis = (pair, basis)
+    return basis
+
+
 def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
     """(1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau.
 
@@ -377,11 +397,9 @@ def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: 
     shifted by ``alpha*P/(2*pi)`` bins, taken over the bins where that
     response is non-zero.
     """
-    h = pair.dt
     P = pair.n - 1
-    alpha = (pair.theta[-1] - pair.theta[0]) / P
-    Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
-    k, H = _periodised_responses(w, [omega], h, P, shift=alpha * P / (2.0 * np.pi))[0]
+    *_, alpha, Y = _probe_basis(pair)
+    k, H = _periodised_responses(w, [omega], pair.dt, P, shift=alpha * P / (2.0 * np.pi))[0]
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
     total = np.dot(Y[k] * H, carrier) / P
     return complex(np.exp(-1j * alpha * it) * total * np.sqrt(omega))
@@ -398,7 +416,9 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
         C = (A + 4|a(t)| + 1) i1 + (M' + (M'+1)|a(t)|) i2 + M' |a(t)| i3
 
     with ``eps_hat`` and ``M'`` the slow-variation metrics measured from the
-    pair and ``A = sup|a|``.  The probe time snaps to the nearest grid point.
+    pair and ``A = sup|a|``.  The probe time snaps to the nearest grid point
+    and must lie within half a step of ``[t0, t1]``.  Probes of one pair in a
+    row share one FFT of the span and its metrics (``_probe_basis``).
     ``t`` and ``omega`` must be finite, and ``omega`` must be resolved on the
     pair's grid (at least ``MIN_SAMPLES_PER_CYCLE`` samples per oscillation
     cycle, as in ``cwt``): below that the sampled transform is dominated by
@@ -411,17 +431,16 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
     if 2 * np.pi * omega < MIN_SAMPLES_PER_CYCLE * pair.dt:
         raise InvalidInputError(
             f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
-    report = check_scale_separation(pair, eps=1.0)
-    it = int(round((t - pair.t0) / pair.dt))
-    it = min(max(it, 0), pair.n - 1)
-    theta_p = pair.theta_prime()
+    if not pair.t0 - pair.dt / 2 <= t <= pair.t1 + pair.dt / 2:
+        raise InvalidInputError(f"t={t} lies outside the pair's span [{pair.t0}, {pair.t1}]")
+    report, theta_p, A, *_ = _probe_basis(pair)
+    it = min(max(int(round((t - pair.t0) / pair.dt)), 0), pair.n - 1)
 
     W = _transform_complex_mode(pair, w, it, omega)
     main = pair.a[it] * np.exp(-1j * pair.theta[it]) * w.freq_response(omega * theta_p[it])
     error = float(abs(W / np.sqrt(omega) - main))
 
     mom = moments(w)
-    A = float(np.max(pair.a))
     at = float(pair.a[it])
     mp = report.m_prime
     C = (A + 4.0 * at + 1.0) * mom.i1 + (mp + (mp + 1.0) * at) * mom.i2 + mp * at * mom.i3

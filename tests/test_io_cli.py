@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 import warnings
@@ -243,12 +244,28 @@ class TestWriterParity:
         path = tmp_path_factory.getbasetemp() / "hyp.json"
         with mock.patch.object(sio, "JSON_CHUNK", chunk):
             write_json(path, obj)
+            assert path.read_text(encoding="utf-8") == json.dumps(obj)
+            write_json(path, {**obj, "x": x})  # an array is written as its tolist()
         assert path.read_text(encoding="utf-8") == json.dumps(obj)
 
     def test_non_finite_floats_spelt_as_json_does(self, tmp_path):
         obj = {"x": [float("nan"), float("inf"), 1.0, float("-inf")]}
         write_json(tmp_path / "n.json", obj)
         assert (tmp_path / "n.json").read_text() == json.dumps(obj)
+        write_json(tmp_path / "n.json", {"x": np.array(obj["x"])})
+        assert (tmp_path / "n.json").read_text() == json.dumps(obj)
+
+    def test_scalogram_writer_holds_one_chunk_of_floats(self, tmp_path):
+        # converting every coefficient to a float object first held ~4x the
+        # coefficients' bytes; one chunk of floats is a small fraction of them
+        f = tone(32.0, 4096)
+        w = make_wavelet(0.2)
+        s = cwt(f, w, default_scales(f, w, voices=64))  # 3.7 MB of coefficients
+        tracemalloc.start()
+        write_scalogram_json(tmp_path / "s.json", s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 0.25 * s.coeffs.nbytes
 
     @pytest.mark.parametrize("x, y", [
         pytest.param(np.linspace(0, 1, 500), np.cos(np.linspace(0, 9, 500)), id="step_1"),

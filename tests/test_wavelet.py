@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bspline5,
                       concentration_error, cwt, default_scales,
                       gen_random_well_separated, make_wavelet, moments)
+from sparsetf import wavelet
 from sparsetf.signal import extend_span
 from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _moment_integrands,
                               _periodised_responses, _transform_complex_mode)
@@ -526,12 +529,61 @@ class TestConcentration:
 
     @pytest.mark.parametrize("t, omega", [
         (np.nan, 0.003), (np.inf, 0.003), (0.5, np.nan), (0.5, np.inf), (0.5, 1e-9),
-    ], ids=["t-nan", "t-inf", "omega-nan", "omega-inf", "omega-unresolved"])
+        (-3.0, 0.003), (7.0, 0.003),
+    ], ids=["t-nan", "t-inf", "omega-nan", "omega-inf", "omega-unresolved",
+            "t-before-span", "t-after-span"])
     def test_invalid_probe_raises(self, t, omega):
         # 1e-9 is far below 8 samples per cycle on this grid: the sampled
-        # transform there is an alias, not the deviation the bound is about
+        # transform there is an alias, not the deviation the bound is about;
+        # a time outside the span was once clamped to its nearest end
         with pytest.raises(InvalidInputError):
             concentration_error(tone_pair(64.0), make_wavelet(0.2), t, omega)
+
+    def test_probe_within_half_a_step_of_the_span_snaps_to_its_end(self):
+        pair, w = tone_pair(64.0), make_wavelet(0.2)
+        for end, outside in ((pair.t0, -0.4 * pair.dt), (pair.t1, 0.4 * pair.dt)):
+            assert concentration_error(pair, w, end + outside, 0.003) == \
+                concentration_error(pair, w, end, 0.003)
+        with pytest.raises(InvalidInputError):
+            concentration_error(pair, w, pair.t1 + 0.6 * pair.dt, 0.003)
+
+    def test_probes_of_interleaved_pairs_are_bit_equal_to_first_probes(self):
+        # the memo holds one pair's basis; switching pairs must never mix bases
+        w = make_wavelet(0.2)
+        t = np.linspace(0.0, 1.0, 2048)
+        a = PhasePair(0.0, 1.0, 1 + 0.1 * np.cos(2 * np.pi * t), 2 * np.pi * 40.3 * t)
+        b = tone_pair(64.0)
+        probes = [(0.3, 0.004), (0.71, 0.0025)]
+        first = {}
+        for pair, key in ((a, "a"), (b, "b"), (a, "a"), (PhasePair(a.t0, a.t1, a.a, a.theta), "a"),
+                          (b, "b")):
+            got = [concentration_error(pair, w, t, om) for t, om in probes]
+            assert got == first.setdefault(key, got)
+        assert first["a"] != first["b"]
+
+    def test_probes_of_one_pair_share_one_fft_of_the_span(self, monkeypatch):
+        pair, w = tone_pair(64.0, n=1025), make_wavelet(0.2)
+        concentration_error(tone_pair(32.0), w, 0.5, 0.003)  # another pair's basis in the memo
+        sizes, fft = [], wavelet.np.fft.fft
+
+        def counting_fft(x, *args, **kwargs):
+            sizes.append(len(x))
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(wavelet.np.fft, "fft", counting_fft)
+        for k in range(20):
+            concentration_error(pair, w, k / 19, 0.002 + 0.0001 * k)
+        assert sizes == [pair.n - 1]
+
+    def test_memo_holds_at_most_one_pair(self):
+        w = make_wavelet(0.2)
+        a = tone_pair(64.0)
+        concentration_error(a, w, 0.5, 0.003)
+        ref = weakref.ref(a)
+        del a
+        concentration_error(tone_pair(32.0), w, 0.5, 0.003)
+        gc.collect()
+        assert ref() is None
 
     def test_cost_does_not_grow_with_omega(self):
         # a kernel a million spans wide costs one FFT of the span
