@@ -8,6 +8,13 @@ transform-concentration and recovery properties that justify the method.
 
 __version__ = "0.1.0"
 
+# NumPy loads these on first use (np.median loads numpy.ma, and moments uses
+# numpy.polynomial); loading them here keeps that cost out of a process's
+# first transform, pursuit or probe
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
+
 from . import errors, pursuit, ridge, separation, signal, synth, wavelet
 from .errors import *
 from .signal import *

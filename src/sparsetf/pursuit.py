@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.interpolate import CubicSpline
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .ridge import recover_components
 from .separation import check_scale_separation
 from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
@@ -116,6 +114,81 @@ def _lowpass_sharp(x: np.ndarray, cutoff_cycles: float, extension: str) -> np.nd
     return ext.restrict(np.fft.irfft(X, size) if real else np.fft.ifft(X))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2-3-5-7-11-smooth integer >= n, a length pocketfft transforms
+    fast (``scipy.fft.next_fast_len``'s rule for complex input)."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def _cyclic_reduction(lo, di, up, b):
+    """Solve a diagonally dominant tridiagonal system (``lo[0] = up[-1] = 0``).
+
+    Odd-even cyclic reduction: the even rows absorb their odd neighbours,
+    which leaves a system of half the size whose off-diagonals shrink about
+    quadratically; it recurses until they are below round-off next to the
+    diagonal, then solves the odd rows from their neighbours on the way back.
+    """
+    if np.all(np.abs(lo) + np.abs(up) <= np.finfo(float).eps * np.abs(di)):
+        return b / di
+    k = di.size
+    # an identity row at each end gives every kept row two neighbours
+    lo, di, up, b = (np.concatenate(([c], v, [c]))
+                     for v, c in ((lo, 0.0), (di, 1.0), (up, 0.0), (b, 0.0)))
+    keep, prev, nxt, odd = slice(1, k + 1, 2), slice(0, k, 2), slice(2, k + 2, 2), slice(2, k + 1, 2)
+    alpha, gamma = lo[keep] / di[prev], up[keep] / di[nxt]
+    x = np.zeros(k + 2)
+    x[keep] = _cyclic_reduction(-alpha * lo[prev], di[keep] - alpha * up[prev] - gamma * lo[nxt],
+                                -gamma * up[nxt], b[keep] - alpha * b[prev] - gamma * b[nxt])
+    x[odd] = (b[odd] - lo[odd] * x[1:k:2] - up[odd] * x[3 : k + 2 : 2]) / di[odd]
+    return x[1:-1]
+
+
+def _spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through (x, y), evaluated at xs in [x[0], x[-1]].
+
+    The interpolant of ``scipy.interpolate.CubicSpline(x, y)``: with three
+    points it is the parabola through them.  With more, the slopes solve
+    CubicSpline's tridiagonal system; its first and last (not-a-knot) rows are
+    eliminated into their neighbours, which leaves a diagonally dominant
+    system for the inner slopes (see ``_cyclic_reduction``).  x must be
+    finite and strictly increasing.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 3:
+        c = (m[1] - m[0]) / (h[0] + h[1])
+        s = np.array([m[0] - c * h[0], m[0] + c * h[0], m[1] + c * h[1]])
+    else:
+        # rows 1..n-2, h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] = b[i],
+        # less the not-a-knot rows h[1] s[0] + d0 s[1] = b0 and d1 s[-2] + h[-2] s[-1] = b1
+        lo, di, up = h[1:].copy(), 2.0 * (h[:-1] + h[1:]), h[:-1].copy()
+        b = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        b0 = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+        b1 = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+        di[0] -= d0
+        b[0] -= b0
+        di[-1] -= d1
+        b[-1] -= b1
+        lo[0] = up[-1] = 0.0
+        inner = _cyclic_reduction(lo, di, up, b)
+        s = np.concatenate([[(b0 - d0 * inner[0]) / h[1]], inner,
+                            [(b1 - d1 * inner[-1]) / h[-2]]])
+    t = (s[:-1] + s[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - s[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
+    d = xs - x[i]
+    return ((c0[i] * d + c1[i]) * d + s[i]) * d + y[i]
+
+
 def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
                 extension: str = "periodic"):
     """In-phase/quadrature envelopes of r against the carrier cos(theta).
@@ -126,10 +199,13 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
     and maps the slow complex envelope back to the time grid: its real part
     is the in-phase envelope, its imaginary part the quadrature one.  For
     r = A*cos(theta + phi) with slow A, phi this returns (A*cos(phi),
-    -A*sin(phi)).
+    -A*sin(phi)).  Raises ``NumericalFailureError`` unless theta is finite and
+    strictly increasing, as a cubic spline in the phase needs.
     """
-    s = np.linspace(theta[0], theta[-1], next_fast_len(theta.size - 1) + 1)
-    r_of_s = CubicSpline(theta, r_values)(s)
+    if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
+        raise NumericalFailureError("the phase is not finite and strictly increasing", np.nan)
+    s = np.linspace(theta[0], theta[-1], _fast_len(theta.size - 1) + 1)
+    r_of_s = _spline(theta, r_values, s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
     z = _lowpass_sharp(2.0 * r_of_s * np.exp(1j * s), eta * cycles, extension)
     ab = np.interp(theta, s, z)

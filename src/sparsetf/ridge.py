@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .signal import (Decomposition, PhasePair, SampledSignal, cumulative_integral,
@@ -346,6 +345,9 @@ def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None 
 
 def compare_decompositions(x: Decomposition, y: Decomposition) -> ComparisonReport:
     """Match components of two decompositions and report their distances."""
+    # imported on call, so that importing the package loads no SciPy
+    from scipy.optimize import linear_sum_assignment
+
     if not x.residual.same_grid(y.residual):
         raise InvalidInputError("decompositions must live on one grid")
     cx, cy = list(x.components), list(y.components)

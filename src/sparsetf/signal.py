@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import InvalidInputError
 
@@ -213,11 +212,14 @@ def differentiate(x, dt: float) -> np.ndarray:
 
 
 def cumulative_integral(x, dt: float) -> np.ndarray:
-    """Cumulative trapezoidal integral anchored at 0 for the first sample."""
+    """Cumulative trapezoidal integral anchored at 0 for the first sample.
+
+    The sums of ``scipy.integrate.cumulative_trapezoid``, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise InvalidInputError("cumulative_integral needs a 1-d array of length >= 2")
-    return cumulative_trapezoid(x, dx=dt, initial=0.0)
+    return np.concatenate([[0.0], np.cumsum(dt * (x[1:] + x[:-1]) / 2.0)])
 
 
 def reconstruct(pairs: Sequence[PhasePair]) -> SampledSignal:

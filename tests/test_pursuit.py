@@ -5,17 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 from scipy.interpolate import CubicSpline
 
 import sparsetf
-from sparsetf import (Decomposition, DictionaryParams, InvalidInputError,
+from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, NumericalFailureError,
                       PursuitConfig, SampledSignal, check_scale_separation, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
-from sparsetf.pursuit import ADMISSIBILITY_MARGIN, _demodulate, _lowpass_sharp, _seed_phases
+from sparsetf.pursuit import (ADMISSIBILITY_MARGIN, _demodulate, _fast_len, _lowpass_sharp,
+                              _seed_phases, _spline)
 
 from conftest import tone, tone_pair
 
@@ -206,6 +208,41 @@ class TestDemodulate:
         assert np.max(np.abs(a[inner] - amp * np.cos(phi))) < tol * amp
         assert np.max(np.abs(b[inner] + amp * np.sin(phi))) < tol * amp
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "flat", "decreasing"])
+    def test_bad_phase_raises_numerical_failure(self, bad):
+        # an iterate's phase that a cubic spline in the phase cannot take
+        t = np.linspace(0, 1, 512)
+        theta = 2 * np.pi * 10 * t
+        if bad in ("nan", "inf"):
+            theta[-1] = float(bad)
+        else:
+            theta[200:300] = theta[200] if bad == "flat" else theta[200:300][::-1]
+        with pytest.raises(NumericalFailureError, match="strictly increasing"):
+            _demodulate(np.cos(2 * np.pi * 10 * t), theta, 0.5)
+
+    def test_phase_grid_length_is_scipys_fast_length(self):
+        assert [_fast_len(n) for n in range(1, 20_001)] == [next_fast_len(n) for n in range(1, 20_001)]
+
+
+class TestSpline:
+    @settings(deadline=None, max_examples=60)
+    @given(st_.integers(3, 3000), st_.integers(0, 2**32 - 1), st_.floats(1.0, 10.0),
+           st_.floats(-3, 3), st_.floats(-1e3, 1e3))
+    @example(3, 0, 1.0, 0.0, 0.0)  # the parabola through three points
+    @example(3, 1, 10.0, 2.0, -5.0)
+    @example(4, 2, 10.0, 0.0, 0.0)  # two inner slopes, one beside each end row
+    def test_matches_scipy_cubic_spline(self, n, seed, step_ratio, log_step, offset):
+        # steps drawn independently within a factor step_ratio of each other,
+        # a far rougher grid than an iterate's phase; the evaluation grid
+        # starts and ends on the first and last knot, as in _demodulate
+        rng = np.random.default_rng(seed)
+        steps = 10.0**log_step * step_ratio ** rng.uniform(size=n - 1)
+        x = offset + np.concatenate([[0.0], np.cumsum(steps)])
+        y = rng.standard_normal(n)
+        xs = np.linspace(x[0], x[-1], int(rng.integers(2, 3 * n)))
+        got, want = _spline(x, y, xs), CubicSpline(x, y)(xs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
+
 
 def partition_reference(tp, d):
     """``partition_domain`` as a per-sample scan with running extrema."""
@@ -280,18 +317,24 @@ class TestMatchingPursuit:
         assert freqs[0] == pytest.approx(32.0, rel=0.01)
         assert freqs[1] == pytest.approx(96.0, rel=0.01)
 
-    def test_pursuit_does_not_import_scipy_ndimage(self):
-        # importing scipy.ndimage costs about 50 ms, paid by a process's first pursuit
-        code = ("import sys, numpy as np; from sparsetf import *\n"
+    def test_package_pursuit_and_cli_load_no_scipy(self, tmp_path):
+        # importing SciPy's interpolate, fft, integrate and optimize cost each
+        # process about 0.5 s and 53 MB; only compare_decompositions loads SciPy
+        code = ("import sys, numpy as np; from sparsetf import *; from sparsetf import cli\n"
+                "from sparsetf.io import write_signal_csv\n"
                 "t = np.linspace(0, 1, 2048)\n"
                 "f = SampledSignal(0, 1, np.cos(2 * np.pi * 32 * t) + np.cos(2 * np.pi * 96 * t))\n"
                 "cfg = PursuitConfig(DictionaryParams(0.05, 2.0, epsilon0=1e-2))\n"
                 "assert matching_pursuit(f, cfg).n_components == 2\n"
-                "print('scipy.ndimage' in sys.modules)")
+                "d = sys.argv[1]\n"
+                "write_signal_csv(d + '/signal.csv', gen_mode_mixing_example(4096)[0])\n"
+                "assert cli.main(['decompose', d + '/signal.csv', '--out', d + '/dec']) == 0\n"
+                "assert cli.main(['verify', d + '/dec/decomposition.json', d + '/signal.csv']) in (0, 3)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = os.path.dirname(os.path.dirname(sparsetf.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
     def test_residual_norm_decreases_across_extractions(self):
         n = 4096

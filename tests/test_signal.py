@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_trapezoid
 
 from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, PhasePair,
                       SampledSignal, cumulative_integral, differentiate,
@@ -33,6 +34,14 @@ class TestDifferentiate:
     def test_bad_dt_raises(self):
         with pytest.raises(InvalidInputError):
             differentiate(np.arange(5.0), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st_.integers(2, 5000), st_.integers(0, 2**32 - 1), st_.floats(-6, 6),
+           st_.floats(1e-6, 1e3))
+    def test_cumulative_integral_is_scipys_bit_for_bit(self, n, seed, log_scale, dt):
+        x = 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+        want = cumulative_trapezoid(x, dx=dt, initial=0.0)
+        assert np.array_equal(cumulative_integral(x, dt), want)
 
     def test_derivative_of_cumulative_integral_is_identity(self):
         # second-order accuracy: error drops ~4x when the step halves
