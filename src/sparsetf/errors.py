@@ -8,12 +8,13 @@ class InvalidInputError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical routine could not reach its requested tolerance.
+    """A numerical routine failed or fell short of its requested tolerance.
 
-    Carries the tolerance that was actually achieved so callers can decide
-    whether the partial result is usable.
+    Carries the tolerance actually achieved, or None where none applies, so
+    callers can decide whether the partial result is usable.
     """
 
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
+    def __init__(self, message: str, achieved: float | None = None):
+        super().__init__(message if achieved is None else
+                         f"{message} (achieved tolerance {achieved:.3e})")
         self.achieved = achieved

@@ -22,7 +22,7 @@ from .ridge import recover_components
 from .separation import check_scale_separation
 from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
                      cumulative_integral, differentiate, extend_span, moving_average,
-                     smoother_extension)
+                     smoother_extension, spectral_filter)
 from .wavelet import make_wavelet
 
 __all__ = [
@@ -95,23 +95,6 @@ def p2_objective(f: SampledSignal, pair: PhasePair) -> float:
         raise InvalidInputError("pair and signal must share one grid")
     diff = f.values - pair.a * np.cos(pair.theta)
     return float(np.trapezoid(diff**2, dx=f.dt))
-
-
-def _lowpass_sharp(x: np.ndarray, cutoff_cycles: float, extension: str) -> np.ndarray:
-    """Zero all Fourier modes at or above the cutoff (cycles per span).
-
-    The input covers one span sampled at n points including the right
-    endpoint.  Periodic mode treats it as one period; mirror mode reflects
-    it evenly first, which removes the wrap-around jump for non-periodic
-    spans.  Complex input keeps the signed bins with |k| below the cutoff.
-    """
-    ext = extend_span(x, extension)
-    size = ext.base.size
-    real = not np.iscomplexobj(x)
-    X = np.fft.rfft(ext.base) if real else np.fft.fft(ext.base)
-    k = np.arange(X.size)
-    X[np.minimum(k, size - k) >= ext.spans * cutoff_cycles] = 0.0
-    return ext.restrict(np.fft.irfft(X, size) if real else np.fft.ifft(X))
 
 
 def _fast_len(n: int) -> int:
@@ -203,11 +186,11 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
     strictly increasing, as a cubic spline in the phase needs.
     """
     if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
-        raise NumericalFailureError("the phase is not finite and strictly increasing", np.nan)
+        raise NumericalFailureError("the phase is not finite and strictly increasing")
     s = np.linspace(theta[0], theta[-1], _fast_len(theta.size - 1) + 1)
     r_of_s = _spline(theta, r_values, s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
-    z = _lowpass_sharp(2.0 * r_of_s * np.exp(1j * s), eta * cycles, extension)
+    z = spectral_filter(2.0 * r_of_s * np.exp(1j * s), lambda c: c < eta * cycles, extension)
     ab = np.interp(theta, s, z)
     return ab.real, ab.imag
 
@@ -217,33 +200,28 @@ def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
     """Smooth the implied frequency over one carrier period, clamp it positive,
     re-integrate.
 
-    Under ``periodic`` the span is one period: the detrended phase
-    ``theta - adv*t/T`` (``adv`` the advance across the span) is
-    differentiated and smoothed across the wrap, and the result keeps a whole
-    number of cycles, ``2*pi*max(1, round(adv/(2*pi)))``.  Under ``mirror``
-    the derivative is one-sided and the average reflects evenly at the span
-    ends, and the advance is left free.  The frequency floor is
-    ``(1-delta) * min(theta_cur')``; the phase value at the span midpoint is
-    preserved.
+    One path for both extensions: the frequency is averaged over one mean
+    carrier period with the span extended as ``extension``, floored at
+    ``(1-delta) * min(theta_cur')``, integrated and anchored at the span
+    midpoint.  Under ``periodic`` the frequency is ``adv/T`` (``adv`` the
+    advance across the span) plus the derivative of the detrended phase
+    ``theta - adv*t/T`` across the wrap of its ``extend_span``, and the result
+    keeps ``max(1, round(adv/(2*pi)))`` whole cycles.  Under ``mirror`` the
+    derivative is one-sided at the span ends and the advance is left free.
     """
     n = theta_raw.size
+    adv = theta_raw[-1] - theta_raw[0]
     if extension == "periodic":
-        adv = theta_raw[-1] - theta_raw[0]
-        window = min(int(round(2.0 * np.pi * (n - 1) / max(adv, 1e-300))), n)
-        pad = window // 2 + 1
-        wrapped = np.pad((theta_raw - adv * np.linspace(0.0, 1.0, n))[:-1], pad, mode="wrap")
-        om = moving_average(differentiate(wrapped, h), window)[pad : pad + n] + adv / ((n - 1) * h)
+        q = extend_span(theta_raw - adv * np.linspace(0.0, 1.0, n), extension).around(1, 1)
+        om = (q[2:] - q[:-2]) / (2.0 * h) + adv / ((n - 1) * h)
     else:
         om = differentiate(theta_raw, h)
-        window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
-        om = moving_average(om, window)
+    window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
     floor = (1.0 - delta) * float(np.min(differentiate(theta_cur, h)))
-    om = np.maximum(om, floor)
-    theta = cumulative_integral(om, h)
+    theta = cumulative_integral(np.maximum(moving_average(om, window, extension), floor), h)
     if extension == "periodic":
         theta *= 2.0 * np.pi * max(1.0, np.round(adv / (2.0 * np.pi))) / theta[-1]
-    mid = n // 2
-    return theta - theta[mid] + theta_raw[mid]
+    return theta - theta[n // 2] + theta_raw[n // 2]
 
 
 def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
@@ -351,7 +329,7 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
         if check_scale_separation(pair, eps_cap).in_dictionary:
             return pair
         cutoff *= 0.5
-        cur = _lowpass_sharp(amp, cutoff, extension)
+        cur = spectral_filter(amp, lambda c: c < cutoff, extension)
     return None
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .signal import (Decomposition, PhasePair, SampledSignal, cumulative_integral,
-                     extend_span, moving_average)
+                     moving_average, spectral_filter)
 from .wavelet import BSplineWavelet, Scalogram, _folded_cwt, default_scales
 
 __all__ = [
@@ -276,15 +276,15 @@ def _deconvolve_envelope(amp: np.ndarray, mean_freq: float, w: BSplineWavelet,
     response H(nu) = (psi_hat(1+nu/f) + psi_hat(1-nu/f))/2.  Dividing the
     envelope spectrum by H (gain-limited) restores it.
     """
-    ext = extend_span(amp, extension)
-    A = np.fft.rfft(ext.base)
-    nu = np.arange(A.size) / (ext.spans * mean_freq)  # relative frequency offset nu/f
-    # psi_hat(1 +- nu) is exactly 0 from the first bin past nu = delta on
-    band = nu[: np.searchsorted(nu, w.delta) + 1]
-    H = np.zeros(A.size)
-    H[: band.size] = 0.5 * (w.freq_response(1.0 + band) + w.freq_response(1.0 - band))
-    A /= np.maximum(H, ENVELOPE_GAIN_FLOOR)
-    return ext.restrict(np.fft.irfft(A, ext.base.size))
+    def gain(cycles):
+        nu = cycles / mean_freq  # relative frequency offset nu/f
+        # psi_hat(1 +- nu) is exactly 0 from the first bin past nu = delta on
+        band = nu[: np.searchsorted(nu, w.delta) + 1]
+        H = np.zeros(nu.size)
+        H[: band.size] = 0.5 * (w.freq_response(1.0 + band) + w.freq_response(1.0 - band))
+        return 1.0 / np.maximum(H, ENVELOPE_GAIN_FLOOR)
+
+    return spectral_filter(amp, gain, extension)
 
 
 def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
@@ -305,11 +305,11 @@ def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
     theta_p_r = 1.0 / curve.omega
     theta_p = np.interp(times, curve.times, theta_p_r)
     window = int(round(2.0 * np.pi / float(np.mean(theta_p)) / h))
-    theta_p = moving_average(theta_p, window)
+    theta_p = moving_average(theta_p, window, "mirror")
     theta = cumulative_integral(theta_p, h)
     drift = curve.phase - np.interp(curve.times, times, theta)
     window_c = max(1, int(round(window * curve.n / f.n)))
-    correction = np.interp(times, curve.times, moving_average(drift, window_c))
+    correction = np.interp(times, curve.times, moving_average(drift, window_c, "mirror"))
     candidate = theta + correction
     if np.all(np.diff(candidate) > 0):
         theta = candidate

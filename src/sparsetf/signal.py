@@ -4,7 +4,8 @@ Everything downstream works with real-valued samples on a uniform grid
 ``t_i = t0 + i*(t1-t0)/(N-1)``.  Integrals are composite trapezoidal
 quadrature, derivatives are second-order finite differences, and phases are
 stored unwrapped (monotone), never modulo 2*pi.  ``extend_span`` is the one
-place that extends a span to a period, and ``smoother_extension`` picks how.
+place that extends a span to a period; every span operation (``spectral_filter``,
+``moving_average``) reads its end rule from it, and ``smoother_extension`` picks it.
 """
 
 from __future__ import annotations
@@ -252,6 +253,11 @@ class SpanExtension:
         """The span's n samples of a period-long result."""
         return y[self.index]
 
+    def around(self, before: int, after: int) -> np.ndarray:
+        """The span's n samples with ``before`` extended samples ahead of them
+        and ``after`` behind, read around the period."""
+        return np.take(self.base, np.arange(-before, self.index.size + after), mode="wrap")
+
 
 def extend_span(values, mode: str) -> SpanExtension:
     """Extend n samples (both endpoints included) to one period.
@@ -267,34 +273,50 @@ def extend_span(values, mode: str) -> SpanExtension:
     raise InvalidInputError(f"unknown extension mode {mode!r}; expected one of {EXTENSIONS}")
 
 
+def spectral_filter(x, gain, extension: str) -> np.ndarray:
+    """Multiply each DFT bin of the span's ``extend_span`` (``rfft`` for real x,
+    ``fft`` for complex) by ``gain(|signed cycles per span|)``, invert, restrict."""
+    ext = extend_span(x, extension)
+    size, real = ext.base.size, not np.iscomplexobj(x)
+    X = np.fft.rfft(ext.base) if real else np.fft.fft(ext.base)
+    k = np.arange(X.size)
+    X *= gain(np.minimum(k, size - k) / ext.spans)
+    return ext.restrict(np.fft.irfft(X, size) if real else np.fft.ifft(X))
+
+
+def spectral_band(mag: np.ndarray) -> np.ndarray:
+    """The bins of an amplitude spectrum within 2% of its peak, DC (bin 0) left
+    out; empty when it has no peak.  It sizes ``default_scales``' band."""
+    peak = np.max(mag[1:], initial=0.0)
+    return 1 + np.flatnonzero(mag[1:] >= 0.02 * peak) if peak > 0 else np.empty(0, dtype=int)
+
+
 def smoother_extension(values) -> str:
     """The extension whose spectrum leaks least: ``mirror`` only when its share of
-    energy beyond twice the band (the highest periodic bin within 2% of the peak
-    amplitude, ``default_scales``' rule) is under a tenth of ``periodic``'s."""
+    energy beyond twice the band (the highest periodic bin of ``spectral_band``)
+    is under a tenth of ``periodic``'s."""
     v = np.asarray(values, dtype=float) - np.mean(values)
     v = v / max(float(np.max(np.abs(v))), np.finfo(float).tiny)  # no overflow at 1e160
-    spectra = {}
-    for mode in EXTENSIONS:
-        ext = extend_span(v, mode)
-        power = np.abs(np.fft.rfft(ext.base)[1:]) ** 2  # DC left out
-        spectra[mode] = power, np.arange(1, power.size + 1) / ext.spans
-    power, cycles = spectra["periodic"]
-    if not np.max(power, initial=0.0) > 0:
+    ext = {mode: extend_span(v, mode) for mode in EXTENSIONS}
+    mag = {mode: np.abs(np.fft.rfft(e.base)) for mode, e in ext.items()}
+    band = spectral_band(mag["periodic"])
+    if band.size == 0:
         return "periodic"
-    band = cycles[power >= 0.02**2 * np.max(power)].max()
-    share = {mode: np.sum(p[c > 2 * band]) / np.sum(p) for mode, (p, c) in spectra.items()}
+    share = {}
+    for mode, m in mag.items():  # the share of energy beyond twice the band, DC left out
+        cycles = np.arange(m.size) / ext[mode].spans
+        share[mode] = np.sum(m[cycles > 2 * band[-1]] ** 2) / np.sum(m[1:] ** 2)
     return "mirror" if share["mirror"] < 0.1 * share["periodic"] else "periodic"
 
 
-def moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Centred moving average over an odd window, evenly reflected at both ends."""
+def moving_average(x: np.ndarray, window: int, extension: str) -> np.ndarray:
+    """Centred moving average over an odd window, the span extended by ``extend_span``."""
     window = max(1, min(window, 2 * (x.size // 2) - 1))
     if window % 2 == 0:
         window += 1
     if window <= 1:
         return x.copy()
     mean, h = np.mean(x), window // 2  # running sums of centred samples: round-off 1e-15 max|x|
-    y = np.asarray(x, dtype=float) - mean
     # one extra leading sample: every window sum is then a difference of two prefix sums
-    c = np.cumsum(np.concatenate([y[h + 1 : 0 : -1], y, y[-2 : -h - 2 : -1]]))
+    c = np.cumsum(extend_span(np.asarray(x, dtype=float) - mean, extension).around(h + 1, h))
     return (c[window:] - c[:-window]) / window + mean

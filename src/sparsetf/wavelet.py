@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .separation import check_scale_separation
-from .signal import PhasePair, SampledSignal, extend_span
+from .signal import PhasePair, SampledSignal, extend_span, spectral_band
 
 __all__ = [
     "BSplineWavelet",
@@ -354,7 +354,8 @@ def _folded_cwt(f: SampledSignal, w: BSplineWavelet, scales, extension: str = "p
     unresolved = tuple(float(s) for s in scales
                        if 2 * np.pi * s < MIN_SAMPLES_PER_CYCLE * step(L))
 
-    index = np.arange(L // ext.spans + 1) % L
+    # the coarse grid is a span of L/spans + 1 samples whose extension has period L
+    index = extend_span(np.zeros(L // ext.spans + 1), extension).index
     coeffs = np.empty((index.size, scales.size), dtype=complex)
     for j, omega in enumerate(scales):
         k, H = responses[j]
@@ -378,7 +379,8 @@ def _probe_basis(pair: PhasePair) -> tuple:
         return last[1]
     P = pair.n - 1
     alpha = (pair.theta[-1] - pair.theta[0]) / P
-    Y = np.fft.fft(pair.a[:P] * np.exp(-1j * (pair.theta[:P] - alpha * np.arange(P))))
+    y = pair.a * np.exp(-1j * (pair.theta - alpha * np.arange(pair.n)))
+    Y = np.fft.fft(extend_span(y, "periodic").base)
     basis = (check_scale_separation(pair, eps=1.0), pair.theta_prime(), float(np.max(pair.a)),
              alpha, Y)
     _last_probe_basis = (pair, basis)
@@ -452,21 +454,17 @@ def default_scales(f: SampledSignal, w: BSplineWavelet, voices: int = 32,
     """Logarithmic scale grid covering [1/(2*pi*fmax), 1/(2*pi*fmin)].
 
     When the frequency band is not supplied it is estimated from the
-    amplitude spectrum (bins above 2% of the peak, padded by a third of an
-    octave on each side).
+    amplitude spectrum (``spectral_band``: bins within 2% of the peak), widened
+    to 0.75 times its lowest and 1.35 times its highest frequency.
     """
     if voices < 1:
         raise InvalidInputError("voices must be >= 1")
     if fmin is None or fmax is None:
-        vals = f.values - np.mean(f.values)
-        mag = np.abs(np.fft.rfft(vals[:-1]))
-        freqs = np.fft.rfftfreq(f.n - 1, d=f.dt)
-        mag[0] = 0.0
-        peak = np.max(mag)
-        if peak <= 0:
+        ext = extend_span(f.values - np.mean(f.values), "periodic")
+        band = spectral_band(np.abs(np.fft.rfft(ext.base)))
+        if band.size == 0:
             raise InvalidInputError("signal has no spectral content to size scales from")
-        active = freqs[mag >= 0.02 * peak]
-        est_lo, est_hi = float(active.min()), float(active.max())
+        est_lo, est_hi = band[[0, -1]] * (1.0 / ((f.n - 1) * f.dt))  # in Hz, as np.fft.rfftfreq
         if fmin is None:
             fmin = est_lo * 0.75
         if fmax is None:

@@ -14,7 +14,7 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
 from sparsetf.ridge import (ENVELOPE_GAIN_FLOOR, MERGE_GAP_FRACTION, MIN_CURVE_FRACTION,
                             _deconvolve_envelope, _merge_fragments, _refined_peaks,
                             _unwrap_along)
-from sparsetf.signal import extend_span
+from sparsetf.signal import spectral_filter
 from sparsetf.wavelet import _folded_cwt
 
 from conftest import tone, tone_pair
@@ -348,12 +348,12 @@ class TestCoarseRidges:
 
 def deconvolve_full_band(amp, mean_freq, w, extension):
     """The band response evaluated on every bin."""
-    ext = extend_span(amp, extension)
-    A = np.fft.rfft(ext.base)
-    nu = np.arange(A.size) / (ext.spans * mean_freq)
-    H = 0.5 * (w.freq_response(1.0 + nu) + w.freq_response(1.0 - nu))
-    A /= np.maximum(H, ENVELOPE_GAIN_FLOOR)
-    return ext.restrict(np.fft.irfft(A, ext.base.size))
+    def gain(cycles):
+        nu = cycles / mean_freq
+        H = 0.5 * (w.freq_response(1.0 + nu) + w.freq_response(1.0 - nu))
+        return 1.0 / np.maximum(H, ENVELOPE_GAIN_FLOOR)
+
+    return spectral_filter(amp, gain, extension)
 
 
 class TestRecover:

@@ -10,7 +10,7 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, PhaseP
                       gen_crossing_example, gen_mode_mixing_example,
                       gen_random_well_separated, reconstruct)
 
-from sparsetf.signal import extend_span, moving_average, smoother_extension
+from sparsetf.signal import extend_span, moving_average, smoother_extension, spectral_filter
 
 from conftest import tone, tone_pair
 
@@ -211,31 +211,51 @@ class TestSmootherExtension:
         assert smoother_extension(values()) == expected
 
 
-def moving_average_reference(x: np.ndarray, window: int) -> np.ndarray:
-    """The centred mean by direct convolution of the evenly reflected samples."""
+def moving_average_reference(x: np.ndarray, window: int, extension: str) -> np.ndarray:
+    """The centred mean by direct convolution of the extended samples: evenly
+    reflected about both ends, or wrapped with period n - 1."""
     window = max(1, min(window, 2 * (x.size // 2) - 1))
     if window % 2 == 0:
         window += 1
     if window <= 1:
         return x.copy()
     half = window // 2
-    padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
+    if extension == "mirror":
+        padded = np.concatenate([x[half:0:-1], x, x[-2 : -half - 2 : -1]])
+    else:  # x[-1] stands for x[0]
+        padded = np.pad(x[:-1], (half, half + 1), mode="wrap")
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
 
 class TestMovingAverage:
     @settings(max_examples=200, deadline=None)
     @given(st_.integers(2, 5000), st_.integers(1, 12000), st_.integers(0, 2**32 - 1),
-           st_.floats(-6, 6), st_.floats(-1e3, 1e3))
-    def test_matches_the_convolution_reference(self, n, window, seed, log_scale, offset):
+           st_.floats(-6, 6), st_.floats(-1e3, 1e3), st_.sampled_from(["periodic", "mirror"]))
+    def test_matches_the_convolution_reference(self, n, window, seed, log_scale, offset, extension):
         # windows up to about twice the span exercise the clamp to the span
         x = offset + 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
-        got, want = moving_average(x, window), moving_average_reference(x, window)
+        got = moving_average(x, window, extension)
+        want = moving_average_reference(x, window, extension)
         assert got.shape == x.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n,window", [(2, 5), (3, 3), (4, 100), (9, 8), (10, 9)])
     def test_clamps_the_window_to_the_span(self, n, window):
         x = np.random.default_rng(n).standard_normal(n)
-        assert_allclose(moving_average(x, window), moving_average_reference(x, window),
-                        rtol=0, atol=1e-14)
+        for extension in ("periodic", "mirror"):
+            assert_allclose(moving_average(x, window, extension),
+                            moving_average_reference(x, window, extension), rtol=0, atol=1e-14)
+
+
+class TestSpectralFilter:
+    @pytest.mark.parametrize("extension", ["periodic", "mirror"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1025])
+    def test_all_pass_returns_the_span(self, n, dtype, extension):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if dtype is complex else 0.0)
+        if extension == "periodic":
+            x[-1] = x[0]  # the periodic extension's t1 sample repeats t0
+        y = spectral_filter(x, np.ones_like, extension)
+        assert y.dtype == x.dtype
+        assert np.max(np.abs(y - x)) <= 1e-12 * np.max(np.abs(x))
