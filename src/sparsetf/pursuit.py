@@ -40,6 +40,8 @@ __all__ = [
 ADMISSIBILITY_MARGIN = 3.0
 #: Inner-solver iteration cap.
 INNER_MAX_ITER = 50
+#: Inner-solver stop, in cycles of phase correction (see ``solve_p2``).
+INNER_TOL = 1e-4
 #: Sharp spectral cutoff for envelope extraction, relative to the carrier
 #: frequency in phase coordinates.
 LOWPASS_FRACTION = 0.5
@@ -49,25 +51,19 @@ LOWPASS_FRACTION = 0.5
 class PursuitConfig:
     """Knobs for the pursuit and its inner solver.
 
-    ``inner_tol`` ends the inner solve once the largest phase correction is
-    below it (in cycles) or a step moves the objective by at most
-    ``(2*pi*inner_tol)**2 * ||r||^2`` (see ``solve_p2``); ``delta`` is the
-    wavelet half-bandwidth used for ridge seeding and as the frequency floor
-    factor.  Every extraction is seeded from the transform ridges of the
-    residual (see ``matching_pursuit``).
+    ``delta`` is the wavelet half-bandwidth used for ridge seeding and as the
+    frequency floor factor.  Every extraction is seeded from the transform
+    ridges of the residual (see ``matching_pursuit``).
     """
 
     params: DictionaryParams
     max_components: int = 8
-    inner_tol: float = 1e-4
     delta: float = 0.2
     voices: int = 32
 
     def __post_init__(self):
         if self.max_components < 1:
             raise InvalidInputError("max_components must be >= 1")
-        if not self.inner_tol > 0:
-            raise InvalidInputError("inner_tol must be positive")
         if not 0 < self.delta < 1:
             raise InvalidInputError("delta must lie in (0,1)")
 
@@ -238,13 +234,13 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     admissible iterate with ``converged=False``, as does ``INNER_MAX_ITER``.
     With no admissible iterate there is no pair (``pair=None``, objective
     ``||r||^2``, ``converged=False``), so every pair returned passes that
-    gate.  A candidate whose objective lies within ``(2*pi*inner_tol)**2 *
+    gate.  A candidate whose objective lies within ``(2*pi*INNER_TOL)**2 *
     ||r||^2`` of the last accepted one, above or below, is a flat step: near
-    the optimum that is the most a phase step of ``inner_tol`` cycles can
+    the optimum that is the most a phase step of ``INNER_TOL`` cycles can
     move it.  Below full bandwidth every accepted step opens the next cutoff
     stage, and so does a flat step that is not accepted.  At full bandwidth
     the solve converges on a flat step or once the largest phase correction
-    is below ``inner_tol`` cycles.  ``extension``: see ``extend_span``.
+    is below ``INNER_TOL`` cycles.  ``extension``: see ``extend_span``.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -258,7 +254,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
 
     history = [float(np.trapezoid(r.values**2, dx=h))]
     slack = 1e-12 * max(history[0], np.finfo(float).tiny)
-    stall = (2.0 * np.pi * cfg.inner_tol) ** 2 * history[0]
+    stall = (2.0 * np.pi * INNER_TOL) ** 2 * history[0]
     best_pair, best_obj = None, np.inf
     converged = False
     iterations = 0
@@ -302,7 +298,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
         else:
             consecutive_bad += 1
             damp *= 0.5
-        if at_full_bandwidth and (rel_update < cfg.inner_tol or flat) and best_pair is not None:
+        if at_full_bandwidth and (rel_update < INNER_TOL or flat) and best_pair is not None:
             converged = True
             break
         if consecutive_bad >= 2:

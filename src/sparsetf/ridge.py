@@ -107,6 +107,15 @@ def _refined_peaks(mags: np.ndarray, coeffs: np.ndarray, scales: np.ndarray,
     return ti, omega, mag, phase
 
 
+def _median_in_place(x: np.ndarray) -> float:
+    """``np.median(x)`` of a 1-D array, partitioning x in place: the mean of
+    its middle one or two order statistics (np.median would load numpy.ma)."""
+    mid = x.size // 2
+    kth = [mid] if x.size % 2 else [mid - 1, mid]
+    x.partition(kth)
+    return float(np.mean(x[kth]))
+
+
 def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]:
     """Link per-time magnitude maxima above ``floor * max`` into curves.
 
@@ -132,7 +141,7 @@ def extract_ridges(s: Scalogram, floor: float | None = None) -> list[RidgeCurve]
     if gmax == 0.0:
         return []
     if floor is None:  # the median partitions mags in place, so refill it after
-        floor = min(max(3.0 * float(np.median(mags, overwrite_input=True)) / gmax, 1e-6), 0.5)
+        floor = min(max(3.0 * _median_in_place(mags.ravel()) / gmax, 1e-6), 0.5)
         np.abs(s.coeffs, out=mags)
         mags /= np.sqrt(s.scales)[None, :]
     threshold = floor * gmax
@@ -294,11 +303,11 @@ def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
     theta' = 1/omega along the ridge, held constant beyond the curve ends,
     smoothed over one mean carrier period and integrated.  The integrated
     phase is then anchored to the unwrapped transform phase along the curve
-    (a slowly varying correction, held constant beyond the ends): the
-    transform phase tracks the true phase pointwise even where the magnitude
-    peak lags a fast frequency sweep.  The envelope is 2|W|/sqrt(omega) (the
-    factor 2 restores the analytic-signal convention for real input),
-    deconvolved by the known band response.
+    (a correction smoothed over one carrier period, held constant beyond the
+    ends): the transform phase tracks the true phase pointwise even where the
+    magnitude peak lags a fast frequency sweep.  The envelope is
+    2|W|/sqrt(omega) (the factor 2 restores the analytic-signal convention
+    for real input), deconvolved by the known band response.
     """
     times = f.times()
     h = f.dt
@@ -308,7 +317,8 @@ def _pair_from_curve(f: SampledSignal, curve: RidgeCurve, w: BSplineWavelet,
     theta_p = moving_average(theta_p, window, "mirror")
     theta = cumulative_integral(theta_p, h)
     drift = curve.phase - np.interp(curve.times, times, theta)
-    window_c = max(1, int(round(window * curve.n / f.n)))
+    # one carrier period in the curve's own step, the smallest (merged curves have gaps)
+    window_c = max(1, int(round(window * h / float(np.min(np.diff(curve.times))))))
     correction = np.interp(times, curve.times, moving_average(drift, window_c, "mirror"))
     candidate = theta + correction
     if np.all(np.diff(candidate) > 0):

@@ -24,6 +24,21 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _write(path, size, title: str, body) -> None:
+    """Write an SVG of ``size`` (width, height): white ground, title, then ``body``."""
+    width, height = size
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width/2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        *body,
+        "</svg>",
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+
+
 def line_plot(path, x, series, title: str = "", labels=None):
     """Write a multi-series line plot; `series` is a list of y-arrays over x."""
     width, height = _LINE_SIZE
@@ -44,12 +59,7 @@ def line_plot(path, x, series, title: str = "", labels=None):
     def sy(v):
         return height - _MARGIN - (v - ymin) / (ymax - ymin) * h_in
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
-    ]
+    parts = []
     for tv in _ticks(float(x[0]), float(x[-1])):
         parts.append(f'<line x1="{sx(tv):.1f}" y1="{height-_MARGIN:.1f}" '
                      f'x2="{sx(tv):.1f}" y2="{height-_MARGIN+4:.1f}" stroke="black"/>')
@@ -71,9 +81,7 @@ def line_plot(path, x, series, title: str = "", labels=None):
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
         parts.append(f'<text x="{width-_MARGIN:.1f}" y="{_MARGIN+14*(i+1):.1f}" '
                      f'text-anchor="end" fill="{color}">{labels[i]}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write(path, _LINE_SIZE, title, parts)
 
 
 def _color(v: float) -> str:
@@ -98,19 +106,13 @@ def heatmap(path, times, scales, mags, title: str = ""):
     w_in, h_in = width - 2 * _MARGIN, height - 2 * _MARGIN
     log_s = np.log(scales)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
-    ]
-
     def sx(i):
         return _MARGIN + (times[i] - times[0]) / (times[-1] - times[0]) * w_in
 
     def sy(j):
         return height - _MARGIN - (log_s[j] - log_s[0]) / (log_s[-1] - log_s[0]) * h_in
 
+    parts = []
     for a0, a1 in zip(ti[:-1], ti[1:]):
         for b0, b1 in zip(si[:-1], si[1:]):
             block = float(np.mean(mags[a0:a1 + 1, b0:b1 + 1]))
@@ -129,6 +131,4 @@ def heatmap(path, times, scales, mags, title: str = ""):
                      f'text-anchor="middle">{_fmt(float(times[i]))}</text>')
     parts.append(f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w_in}" height="{h_in}" '
                  'fill="none" stroke="black"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write(path, _HEATMAP_SIZE, title, parts)

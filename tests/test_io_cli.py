@@ -501,13 +501,14 @@ class TestCli:
         ({"max_components": float("nan")}, "'max_components'"),
         ({"voices": 16.5}, "'voices'"),
         ({"epsilon": "0.1"}, "'epsilon'"),
-        ({"inner_tol": [1e-6]}, "'inner_tol'"),
+        ({"inner_tol": 1e-6}, "'inner_tol'"),  # INNER_TOL is a constant
         (5, "JSON object"),
         ({"m_prime": 2.0}, "'m_prime'"),
         ({"inner_max_iter": 50}, "'inner_max_iter'"),
         ({"lowpass_fraction": 0.5}, "'lowpass_fraction'"),
         ({"init": {"a": 1}}, "'init'"),
         ({"extension": "mirror"}, "'extension'"),
+        ({"delta": [0.2]}, "'delta'"),
     ])
     def test_malformed_config_exits_one_naming_the_key(self, tmp_path, two_tone_csv, capsys,
                                                         config, named):
@@ -526,7 +527,7 @@ class TestCli:
         library = {f.name for f in fields(PursuitConfig)} - {"params"}
         assert set(config) == library | {"epsilon", "d", "epsilon0", "extension"}
         assert config["epsilon0"] == 1e-2  # the adaptive floor for a tiny signal
-        assert config["inner_tol"] == PursuitConfig.inner_tol
+        assert config["delta"] == PursuitConfig.delta
         assert config["extension"] == "periodic"
 
     @pytest.mark.parametrize("freq, extension", [

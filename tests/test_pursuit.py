@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, Numeri
                       PursuitConfig, SampledSignal, check_scale_separation, compare_decompositions,
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
+from sparsetf import pursuit
 from sparsetf.pursuit import ADMISSIBILITY_MARGIN, _demodulate, _fast_len, _seed_phases, _spline
 from sparsetf.signal import spectral_filter
 
@@ -103,7 +103,7 @@ class TestSolve:
         diffs = np.diff(np.asarray(res.history))
         assert np.all(diffs <= 1e-9 * res.history[0])
 
-    def test_flat_objective_ends_the_solve(self):
+    def test_flat_objective_ends_the_solve(self, monkeypatch):
         # the first solve of family signal 4 (seed 1, the benchmark's 2-mode
         # configuration): without the stall stop it runs to the iteration cap,
         # though no step after the fourth lowers the objective by 5e-7 of it
@@ -114,8 +114,9 @@ class TestSolve:
         theta = _seed_phases(f, cfg, "periodic")[0]
         res = solve_p2(f, theta, cfg)
         assert res.converged and res.iterations < 15
-        # inner_tol=1e-12 turns both the phase-step and the stall stop off
-        full = solve_p2(f, theta, replace(cfg, inner_tol=1e-12))
+        # INNER_TOL=1e-12 turns both the phase-step and the stall stop off
+        monkeypatch.setattr(pursuit, "INNER_TOL", 1e-12)
+        full = solve_p2(f, theta, cfg)
         assert res.objective - full.objective <= 2 * (2 * np.pi * 1e-4) ** 2 * res.history[0]
 
     def test_no_admissible_iterate_gives_no_pair(self):
@@ -321,7 +322,8 @@ class TestMatchingPursuit:
 
     def test_package_pursuit_and_cli_load_no_scipy(self, tmp_path):
         # importing SciPy's interpolate, fft, integrate and optimize cost each
-        # process about 0.5 s and 53 MB; only compare_decompositions loads SciPy
+        # process about 0.5 s and 53 MB; only compare_decompositions loads SciPy.
+        # numpy.ma (loaded by np.median) costs 8-17 ms and 1.0 MB
         code = ("import sys, numpy as np; from sparsetf import *; from sparsetf import cli\n"
                 "from sparsetf.io import write_signal_csv\n"
                 "t = np.linspace(0, 1, 2048)\n"
@@ -332,7 +334,10 @@ class TestMatchingPursuit:
                 "write_signal_csv(d + '/signal.csv', gen_mode_mixing_example(4096)[0])\n"
                 "assert cli.main(['decompose', d + '/signal.csv', '--out', d + '/dec']) == 0\n"
                 "assert cli.main(['verify', d + '/dec/decomposition.json', d + '/signal.csv']) in (0, 3)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "assert cli.main(['partition', d + '/dec/decomposition.json']) == 0\n"
+                "assert cli.main(['cwt', d + '/signal.csv', '--out', d + '/cwt']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "             or m.split('.')[:2] == ['numpy', 'ma']))")
         src = os.path.dirname(os.path.dirname(sparsetf.__file__))
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})

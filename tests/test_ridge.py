@@ -12,8 +12,8 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
 from sparsetf.ridge import (ENVELOPE_GAIN_FLOOR, MERGE_GAP_FRACTION, MIN_CURVE_FRACTION,
-                            _deconvolve_envelope, _merge_fragments, _refined_peaks,
-                            _unwrap_along)
+                            _deconvolve_envelope, _median_in_place, _merge_fragments,
+                            _pair_from_curve, _refined_peaks, _unwrap_along)
 from sparsetf.signal import spectral_filter
 from sparsetf.wavelet import _folded_cwt
 
@@ -308,6 +308,20 @@ class TestLink:
         for a, b in zip(got, want):
             assert np.array_equal(a.times, b.times) and np.array_equal(a.phase, b.phase)
 
+    @pytest.mark.parametrize("n, n_scales", [(1025, 41), (1025, 40), (1024, 41)],
+                             ids=["odd", "even-scales", "even-times"])
+    def test_default_floor_median_is_numpys_bit_for_bit(self, n, n_scales):
+        t = np.linspace(0, 1, n)
+        f = SampledSignal(0, 1, np.cos(2 * np.pi * 24 * t) + np.cos(2 * np.pi * 80 * t))
+        w = make_wavelet(0.15)
+        full = cwt(f, w, default_scales(f, w, voices=16))
+        s = Scalogram(full.times, full.scales[:n_scales], full.coeffs[:, :n_scales], w)
+        mags = s.magnitude() / np.sqrt(s.scales)
+        want = float(np.median(mags))
+        assert _median_in_place(mags.ravel()) == want
+        floor = min(max(3.0 * want / float(np.max(mags)), 1e-6), 0.5)
+        assert_same_curves(extract_ridges(s), extract_ridges(s, floor))
+
     def test_default_floor_takes_no_copy_of_the_magnitude(self):
         # a copy for the median would double the call's peak, to twice the
         # magnitude; at 64 voices (as in criterion 07) the peak table is small
@@ -392,6 +406,22 @@ class TestRecover:
         assert np.max(np.abs(p.a - 2.0)) < 0.05
         tp = p.theta_prime()
         assert np.max(np.abs(tp - 2 * np.pi * 64)) / (2 * np.pi * 64) < 0.02
+
+    def test_drift_of_a_short_curve_is_smoothed_over_one_carrier_period(self):
+        # a 64 Hz curve on every fourth sample of the first 20% of the span,
+        # its phase wobbling by 0.4 rad peak to peak with a period of 4 curve
+        # samples (a quarter of a carrier period): smoothing over one carrier
+        # period (16 samples) leaves 0.05 rad of it, a window shrunk with the
+        # curve's coverage (3 samples) 0.27 rad
+        n = 4096
+        f = SampledSignal(0, 1, np.zeros(n))
+        times = f.times()[: n // 5 : 4]
+        k = np.arange(times.size)
+        phase = 2 * np.pi * 64 * times + 0.2 * np.sin(np.pi * k / 2)
+        curve = RidgeCurve(times, np.full(k.size, 1 / (2 * np.pi * 64)), np.ones(k.size), phase)
+        pair = _pair_from_curve(f, curve, make_wavelet(0.2), "mirror")
+        wobble = pair.theta[: n // 5] - 2 * np.pi * 64 * f.times()[: n // 5]
+        assert np.ptp(wobble) < 0.1
 
     def test_zero_signal_recovers_nothing(self):
         f = SampledSignal(0, 1, np.zeros(2048))
