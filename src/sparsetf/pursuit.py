@@ -6,9 +6,9 @@ alternating demodulation: resample onto a uniform phase grid, split the
 signal into in-phase/quadrature envelopes with a sharp low-pass filter in the
 phase domain, convert the quadrature part into a phase correction, then
 smooth and re-integrate the frequency under a positivity floor.  The outer
-loop seeds each extraction from the transform ridges of the residual, the
-strongest first, and subtracts accepted modes until the residual norm falls
-below the threshold.
+loop seeds from the transform ridges of the residual, the strongest first,
+carries the seeding's remaining ridge phases into the next extraction, and
+subtracts accepted modes until the residual norm falls below the threshold.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class PursuitConfig:
     """Knobs for the pursuit and its inner solver.
 
     ``delta`` is the wavelet half-bandwidth used for ridge seeding and as the
-    frequency floor factor.  Every extraction is seeded from the transform
-    ridges of the residual (see ``matching_pursuit``).
+    frequency floor factor.  The pursuit is seeded from the transform ridges
+    of the residual (see ``matching_pursuit``).
     """
 
     params: DictionaryParams
@@ -370,34 +370,46 @@ def _seed_phases(residual: SampledSignal, cfg: PursuitConfig, extension: str) ->
 def matching_pursuit(f: SampledSignal, cfg: PursuitConfig) -> Decomposition:
     """Decompose a signal by greedy extraction of one mode at a time.
 
-    Each extraction solves from the seeding's ridge phases in turn, largest
-    mode norm first, until a solve returns a pair.  Stops when the residual
-    norm drops below ``params.epsilon0``, when ``max_components`` is reached,
-    or with the ``no_progress`` flag set when no ridge gives an admissible
-    fit, the fit does not reduce the residual, or the fitted mode's norm is
-    below ``epsilon0`` (not significant).  Components are returned ordered by increasing mean frequency,
-    with the extraction order recorded.  Spans extend as ``smoother_extension(f)``.
+    A fresh seeding solves from its ridge phases in turn, largest mode norm
+    first, until a solve returns a pair, and carries the phases after it:
+    subtracting a mode concentrated on its own ridge (criterion 05) leaves
+    the seeding's other ridges in place, up to O(epsilon).  The next
+    extraction solves from the first carried phase, and seeds afresh unless
+    that solve is accepted: a pair, a lower objective and a mode norm of at
+    least ``params.epsilon0``.  Stops when the residual norm drops below
+    ``epsilon0``, when ``max_components`` is reached, or with the
+    ``no_progress`` flag set when a fresh seeding gives no accepted fit.
+    Components are returned ordered by increasing mean frequency, with the
+    extraction order recorded.  Spans extend as ``smoother_extension(f)``.
     """
     extension = smoother_extension(f.values)
     residual = f
     extracted: list[PhasePair] = []
     no_progress = False
     eps0 = cfg.params.epsilon0
+
+    def accepted(res):  # history[0] is ||residual||^2; a mode below eps0 is not significant
+        return (res.pair is not None and res.objective < res.history[0] * (1.0 - 1e-12)
+                and res.pair.mode().norm() >= eps0)
+
+    phases: list = []  # carried: the last fresh seeding's phases after the last one solved from
     for _ in range(cfg.max_components):
         if residual.norm() < eps0:
             break
-        for theta_init in _seed_phases(residual, cfg, extension):
-            res = solve_p2(residual, theta_init, cfg, extension)
-            if res.pair is not None:
+        res = solve_p2(residual, phases.pop(0), cfg, extension) if phases else None
+        if res is None or not accepted(res):
+            phases = _seed_phases(residual, cfg, extension)
+            while phases:
+                res = solve_p2(residual, phases.pop(0), cfg, extension)
+                if res.pair is not None:
+                    break
+            else:  # no ridge, or no admissible fit from any of them
+                no_progress = True
                 break
-        else:  # no ridge, or no admissible fit from any of them
-            no_progress = True
-            break
+            if not accepted(res):
+                no_progress = True
+                break
         pair = res.pair
-        # history[0] is ||residual||^2; a mode below epsilon0 is not significant
-        if res.objective >= res.history[0] * (1.0 - 1e-12) or pair.mode().norm() < eps0:
-            no_progress = True
-            break
         extracted.append(pair)
         residual = SampledSignal(f.t0, f.t1, residual.values - pair.a * np.cos(pair.theta))
 

@@ -36,6 +36,22 @@ def family_signal_10():
     return f, gt, cfg
 
 
+def family_signal_1():
+    """Family signal 1 of seed 1 with the benchmark's 3-mode configuration."""
+    f, gt = gen_random_well_separated(3, 2.0, 0.05, 4188902809, 16384, base_freq=64)
+    cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
+                                         epsilon0=0.05 * f.norm()),
+                        max_components=5, voices=16, delta=0.15)
+    return f, gt, cfg
+
+
+def assert_recovers(dec, gt, f, tol=1e-2):
+    truth = Decomposition(gt.pairs, SampledSignal(f.t0, f.t1, np.zeros(f.n)))
+    rep = compare_decompositions(truth, dec)
+    assert len(rep.matched) == len(gt.pairs)
+    assert max(rep.recon_rel_l2_errors) <= tol
+
+
 def assert_admissible(dec, cfg):
     """Every component lies within the inner solver's gate around the dictionary."""
     for c in dec.components:
@@ -391,6 +407,49 @@ class TestMatchingPursuit:
         assert len(rep.matched) == 2
         assert max(rep.recon_rel_l2_errors) <= 1e-2
         assert_admissible(dec, cfg)
+
+    def test_one_seeding_serves_every_extraction_of_a_family_signal(self, monkeypatch):
+        # the first seeding's other ridges are still the residual's after a
+        # mode is subtracted, so each extraction solves from the next carried
+        # phase and the pursuit never seeds again
+        f, gt, cfg = family_signal_1()
+        seedings = []
+        seed = pursuit._seed_phases
+        monkeypatch.setattr(pursuit, "_seed_phases",
+                            lambda r, *a: seedings.append(r) or seed(r, *a))
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 3
+        assert not dec.no_progress
+        assert len(seedings) == 1
+        assert_recovers(dec, gt, f)
+        assert_admissible(dec, cfg)
+
+    def test_failed_carried_solve_seeds_afresh(self, monkeypatch):
+        # a solve on a residual that was not seeded is a carried one; forcing
+        # it to give no pair makes each later extraction seed its residual
+        f, gt, cfg = family_signal_1()
+        seeded, forced = [], []
+        seed, solve = pursuit._seed_phases, pursuit.solve_p2
+
+        def seed_phases(r, *a):
+            seeded.append(r)
+            return seed(r, *a)
+
+        def solve_p2(r, *a):
+            if r is not seeded[-1]:
+                forced.append(r)
+                empty = float(np.trapezoid(r.values**2, dx=r.dt))
+                return pursuit.P2Result(None, empty, 0, False, (empty,))
+            return solve(r, *a)
+
+        monkeypatch.setattr(pursuit, "_seed_phases", seed_phases)
+        monkeypatch.setattr(pursuit, "solve_p2", solve_p2)
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 3
+        assert not dec.no_progress
+        assert len(forced) == 2 and len(seeded) == 3
+        assert all(r is s for r, s in zip(forced, seeded[1:]))
+        assert_recovers(dec, gt, f)
 
     def test_mode_mixing_components_are_admissible(self):
         f, _, _ = gen_mode_mixing_example(4096)
