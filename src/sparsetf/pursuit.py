@@ -184,9 +184,12 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
     if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
         raise NumericalFailureError("the phase is not finite and strictly increasing")
     s = np.linspace(theta[0], theta[-1], _fast_len(theta.size - 1) + 1)
-    r_of_s = _spline(theta, r_values, s)
+    two_r = 2.0 * _spline(theta, r_values, s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
-    z = spectral_filter(2.0 * r_of_s * np.exp(1j * s), lambda c: c < eta * cycles, extension)
+    z = np.empty(s.size, dtype=complex)  # 2*r*exp(i*s), written part by part
+    np.multiply(two_r, np.cos(s), out=z.real)
+    np.multiply(two_r, np.sin(s), out=z.imag)
+    z = spectral_filter(z, lambda c: c < eta * cycles, extension)
     ab = np.interp(theta, s, z)
     return ab.real, ab.imag
 
@@ -237,8 +240,9 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     gate.  A candidate whose objective lies within ``(2*pi*INNER_TOL)**2 *
     ||r||^2`` of the last accepted one, above or below, is a flat step: near
     the optimum that is the most a phase step of ``INNER_TOL`` cycles can
-    move it.  Below full bandwidth every accepted step opens the next cutoff
-    stage, and so does a flat step that is not accepted.  At full bandwidth
+    move it.  The solve opens with the envelope cutoff at a quarter of the
+    carrier (``LOWPASS_FRACTION / 2``); an accepted step there, or a flat step
+    that is not accepted, opens full bandwidth.  At full bandwidth
     the solve converges on a flat step or once the largest phase correction
     is below ``INNER_TOL`` cycles.  ``extension``: see ``extend_span``.
     """
@@ -260,14 +264,13 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     iterations = 0
     damp = 1.0
     consecutive_bad = 0
-    # cutoff continuation: stiff first passes lock the phase onto the smooth
-    # minimizer before the full envelope bandwidth opens up
-    stages = [LOWPASS_FRACTION / 2.0**k for k in (3, 2, 1, 0)]
-    stage = 0
+    # cutoff continuation: a stiff first stage at a quarter of the carrier
+    # locks the phase onto the smooth minimizer before the full envelope
+    # bandwidth opens up
+    eta = LOWPASS_FRACTION / 2.0
     for _ in range(INNER_MAX_ITER):
         iterations += 1
-        eta = stages[stage]
-        at_full_bandwidth = stage == len(stages) - 1
+        at_full_bandwidth = eta == LOWPASS_FRACTION
         if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
             a_t, b_t = _demodulate(r.values, theta, eta, extension)
             amp = np.hypot(a_t, b_t)
@@ -289,12 +292,11 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
             theta = theta_new
             damp = 1.0
             consecutive_bad = 0
-            if not at_full_bandwidth:
-                stage += 1
-        elif flat and not at_full_bandwidth:  # a flat step opens the next stage unaccepted
+            eta = LOWPASS_FRACTION
+        elif flat and not at_full_bandwidth:  # a flat step opens full bandwidth unaccepted
             damp = 1.0
             consecutive_bad = 0
-            stage += 1
+            eta = LOWPASS_FRACTION
         else:
             consecutive_bad += 1
             damp *= 0.5

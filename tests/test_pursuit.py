@@ -451,6 +451,34 @@ class TestMatchingPursuit:
         assert all(r is s for r, s in zip(forced, seeded[1:]))
         assert_recovers(dec, gt, f)
 
+    def test_two_cutoff_stages_bound_the_demodulations_of_a_family_signal(self, monkeypatch):
+        # three solves, each demodulating at least once at a quarter of the
+        # carrier and once at full bandwidth; the 8 they take leave a step of
+        # slack under the bound
+        f, gt, cfg = family_signal_1()
+        calls = []
+        demodulate = pursuit._demodulate
+        monkeypatch.setattr(pursuit, "_demodulate",
+                            lambda *a, **k: calls.append(1) or demodulate(*a, **k))
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 3
+        assert len(calls) <= 9
+        assert_recovers(dec, gt, f)
+
+    def test_noisy_family_signal_keeps_its_true_count(self):
+        # a 2-mode family signal plus white noise of rms 0.5 (about 11 dB below
+        # the modes), with the benchmark's configuration: both true modes are
+        # found and no ridge of the noise yields a significant admissible mode
+        f, gt = gen_random_well_separated(2, 2.0, 0.05, 70000, 8192, base_freq=64,
+                                          noise_amplitude=0.5)
+        cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), 2.0,
+                                             epsilon0=0.05 * f.norm()),
+                            max_components=4, voices=16, delta=0.15)
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == 2
+        assert_recovers(dec, gt, f, tol=0.1)
+        assert_admissible(dec, cfg)
+
     def test_mode_mixing_components_are_admissible(self):
         f, _, _ = gen_mode_mixing_example(4096)
         cfg = default_cfg(epsilon0=max(1e-2, 0.05 * f.norm()))  # the CLI defaults
