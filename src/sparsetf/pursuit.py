@@ -274,7 +274,9 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
         if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
             a_t, b_t = _demodulate(r.values, theta, eta, extension)
             amp = np.hypot(a_t, b_t)
-            phi = np.unwrap(np.arctan2(-b_t, a_t))  # correction can exceed one cycle
+            phi = np.arctan2(-b_t, a_t)
+            if not np.all(np.abs(np.diff(phi)) < np.pi):  # with no jump, unwrap returns phi
+                phi = np.unwrap(phi)  # correction can exceed one cycle
             rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
         theta_new = _project_phase(theta + damp * phi, theta, h, cfg.delta, extension)
         # project onto (a margin around) the constraint set: tame the envelope

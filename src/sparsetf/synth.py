@@ -138,9 +138,10 @@ def _random_trig_poly(rng: np.random.Generator, t: np.ndarray, degree: int = 3):
     for j in range(1, degree + 1):
         wj = 2.0 * np.pi * j
         a, b = alphas[j - 1], betas[j - 1]
-        vals += a * np.cos(wj * t) + b * np.sin(wj * t)
-        integ += (a * np.sin(wj * t) - b * np.cos(wj * t)) / wj
-        deriv += wj * (-a * np.sin(wj * t) + b * np.cos(wj * t))
+        cos, sin = np.cos(wj * t), np.sin(wj * t)
+        vals += a * cos + b * sin
+        integ += (a * sin - b * cos) / wj
+        deriv += wj * (-a * sin + b * cos)
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-9:
         vals = np.cos(2.0 * np.pi * t)

@@ -19,6 +19,7 @@ concentrated on the scale band ``omega * theta'(t) in [1-delta, 1+delta]``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,43 +55,32 @@ MIN_SAMPLES_PER_CYCLE = 8
 MOMENTS_RTOL = 1e-6
 
 
+#: Pieces of B5 on [p, p+1], p = 0, 1, 2, one column each: row k holds the t^(4-k) coefficient,
+#: over 24, of t^4, -4t^4 + 4t^3 + 6t^2 + 4t + 1 and 6t^4 - 12t^3 - 6t^2 + 12t + 11, t = x - p.
+_B5_PIECES = np.array([[1.0, -4.0, 6.0], [0.0, 4.0, -12.0], [0.0, 6.0, -6.0],
+                       [0.0, 4.0, 12.0], [0.0, 1.0, 11.0]]) / 24.0
+
+
 def bspline5(x) -> np.ndarray:
     """Cardinal B-spline of order 5 (degree 4), supported on [0, 5].
 
-    Evaluated from the explicit one-sided power form
-    ``B5(x) = (1/4!) * sum_k (-1)^k C(5,k) (x-k)_+^4`` at x clipped to
-    [0, 5]: the form is exactly 0 at both ends, whereas its cancelling terms
-    would leave round-off far outside the support.
+    B5 is symmetric about 5/2, so it is evaluated at ``u = min(x, 5 - x)``,
+    clipped at 0, by one Horner pass over the quartic piece (``_B5_PIECES``)
+    that holds u.  The result is exactly 0 at and beyond both ends.
     """
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 5.0)
-    out = np.zeros_like(x)
-    for k in range(6):
-        out += ((-1) ** k) * math.comb(5, k) * np.maximum(x - k, 0.0) ** 4
-    return out / 24.0
+    x = np.asarray(x, dtype=float)
+    u = np.maximum(np.minimum(x, 5.0 - x), 0.0)
+    p = np.add(u >= 1.0, u >= 2.0, dtype=np.intp)  # min(floor(u), 2); NaN stays NaN
+    t = u - p
+    out = _B5_PIECES[0][p]
+    for row in _B5_PIECES[1:]:
+        out *= t
+        out += row[p]
+    return out
 
 
 def _sinc(u):
     return np.sinc(u / np.pi)
-
-
-def _sinc_d1(u):
-    # (cos u - sinc u)/u, series -u/3 + u^3/30 near the removable singularity
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-3
-    safe = np.where(small, 1.0, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (np.cos(safe) - _sinc(safe)) / safe
-    return np.where(small, -u / 3.0 + u**3 / 30.0, val)
-
-
-def _sinc_d2(u):
-    # -sinc(u) - 2*sinc'(u)/u, series -1/3 + u^2/10 - u^4/168 near 0
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-3
-    safe = np.where(small, 1.0, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -_sinc(safe) - 2.0 * _sinc_d1(safe) / safe
-    return np.where(small, -1.0 / 3.0 + u**2 / 10.0 - u**4 / 168.0, val)
 
 
 @dataclass(frozen=True)
@@ -143,19 +133,37 @@ class WaveletMoments:
 
 
 def _moment_integrands(w: BSplineWavelet, tau: np.ndarray):
+    """|psi|, |tau psi'| and tau^2 |psi''| at tau, from psi = K e^{i tau} S, S = sinc(c tau)^5.
+
+    sinc u, sinc' u = (cos u - sinc u)/u and sinc'' u = -sinc u - 2 sinc' u/u
+    come from one sine and one cosine of u = c*tau; below |u| = 1e-3 their
+    Taylor series replace the cancelling quotients.
+    """
     c = w.delta / 5.0
-    K = w.peak_amplitude
     u = c * tau
-    s = _sinc(u)
-    sp = _sinc_d1(u)
-    spp = _sinc_d2(u)
-    S = s**5
-    S1 = 5.0 * s**4 * sp * c
-    S2 = (20.0 * s**3 * sp**2 + 5.0 * s**4 * spp) * c * c
-    abs_psi = K * np.abs(S)
-    abs_dpsi = K * np.hypot(S, S1)  # |i*S + S'|
-    abs_d2psi = K * np.sqrt((S2 - S) ** 2 + 4.0 * S1**2)  # |-S + 2i S' + S''|
-    return abs_psi, np.abs(tau) * abs_dpsi, tau**2 * abs_d2psi
+    small = np.abs(u) < 1e-3
+    us = u[small]
+    u[small] = 1.0  # the series below replace the quotients there
+    s = np.sin(u) / u
+    sp = (np.cos(u) - s) / u
+    spp = -s - 2.0 * sp / u
+    del u  # each temporary goes once spent, which bounds a cold moments' peak memory
+    u2 = us * us
+    s[small] = 1.0 - u2 * (1.0 / 6.0 - u2 / 120.0)
+    sp[small] = us * (u2 / 30.0 - 1.0 / 3.0)
+    spp[small] = u2 * (0.1 - u2 / 168.0) - 1.0 / 3.0
+    s3 = s * s * s
+    S = s3 * s * s
+    S1 = s3 * s * sp * (5.0 * c)  # S'
+    S2 = (4.0 * sp * sp + s * spp) * s3 * (5.0 * c * c)  # S''
+    del s, sp, spp, s3
+    K = w.peak_amplitude
+    S2 -= S
+    d2psi = np.hypot(S2, 2.0 * S1, out=S2)  # |-S + 2i S' + S''|
+    d2psi *= K * tau * tau
+    dpsi = np.hypot(S, S1, out=S1)  # |i*S + S'|
+    dpsi *= K * np.abs(tau)
+    return K * np.abs(S), dpsi, d2psi
 
 
 @lru_cache(maxsize=64)
@@ -180,9 +188,10 @@ def moments(w: BSplineWavelet) -> WaveletMoments:
     width = np.pi / c
     lobes = 256  # T = 256*pi/c ~ 800/c, so the |tau|^-5 envelope tail is < MOMENTS_RTOL for i3
     nodes = 8
+    rule = lru_cache(np.polynomial.legendre.leggauss)  # built once per node count
 
     def compute(k0, k1, nodes):
-        x, wt = np.polynomial.legendre.leggauss(nodes)
+        x, wt = rule(nodes)
         tau = (np.arange(k0, k1)[:, None] + 0.5 * (x + 1.0)) * width
         return np.array([np.sum(f @ wt) * width for f in _moment_integrands(w, tau)])
 
@@ -387,7 +396,8 @@ def _probe_basis(pair: PhasePair) -> tuple:
     return basis
 
 
-def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
+def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float,
+                            basis: tuple | None = None) -> complex:
     """(1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau.
 
     The untruncated sum runs over the periodic extension of the pair: the
@@ -397,14 +407,15 @@ def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: 
     ``y[r] = a[r] exp(-i(theta[r] - alpha*r))``, so the sum is one
     inverse-DFT coefficient of ``fft(y)`` times the periodised response
     shifted by ``alpha*P/(2*pi)`` bins, taken over the bins where that
-    response is non-zero.
+    response is non-zero.  ``basis`` is ``_probe_basis(pair)``, when the
+    caller holds it.
     """
     P = pair.n - 1
-    *_, alpha, Y = _probe_basis(pair)
+    *_, alpha, Y = basis or _probe_basis(pair)
     k, H = _periodised_responses(w, [omega], pair.dt, P, shift=alpha * P / (2.0 * np.pi))[0]
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
     total = np.dot(Y[k] * H, carrier) / P
-    return complex(np.exp(-1j * alpha * it) * total * np.sqrt(omega))
+    return complex(cmath.exp(-1j * alpha * it) * total * math.sqrt(omega))
 
 
 def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: float):
@@ -435,12 +446,12 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
             f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
     if not pair.t0 - pair.dt / 2 <= t <= pair.t1 + pair.dt / 2:
         raise InvalidInputError(f"t={t} lies outside the pair's span [{pair.t0}, {pair.t1}]")
-    report, theta_p, A, *_ = _probe_basis(pair)
+    report, theta_p, A, *_ = basis = _probe_basis(pair)
     it = min(max(int(round((t - pair.t0) / pair.dt)), 0), pair.n - 1)
 
-    W = _transform_complex_mode(pair, w, it, omega)
-    main = pair.a[it] * np.exp(-1j * pair.theta[it]) * w.freq_response(omega * theta_p[it])
-    error = float(abs(W / np.sqrt(omega) - main))
+    W = _transform_complex_mode(pair, w, it, omega, basis)
+    main = pair.a[it] * cmath.exp(-1j * pair.theta[it]) * w.freq_response(omega * theta_p[it])
+    error = float(abs(W / math.sqrt(omega) - main))
 
     mom = moments(w)
     at = float(pair.a[it])

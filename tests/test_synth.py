@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,16 @@ class TestRandomFamily:
         assert np.array_equal(f1.values, f2.values)
         for a, b in zip(gt1.pairs, gt2.pairs):
             assert np.array_equal(a.theta, b.theta)
+
+    def test_output_bits_are_pinned(self):
+        # sha256 over the signal and every mode's a and theta, recorded before
+        # each harmonic's sine and cosine were computed once instead of three times
+        f, gt = gen_random_well_separated(3, 2.0, 0.05, 1, 4096)
+        h = hashlib.sha256(f.values.tobytes())
+        for p in gt.pairs:
+            h.update(p.a.tobytes())
+            h.update(p.theta.tobytes())
+        assert h.hexdigest() == "4f3bdb1fd0842d22276901d02087914995c8bc2fdb096654bc4583143431b5e9"
 
     def test_different_seeds_differ(self):
         f1, _ = gen_random_well_separated(2, 2.0, 0.05, 1, 4096)

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -56,6 +57,35 @@ def bspline_recurrence(x: float, order: int = 5) -> float:
         return ((xv - i) / (k - 1)) * b(xv, k - 1, i) + ((i + k - xv) / (k - 1)) * b(xv, k - 1, i + 1)
 
     return b(x, order, 0)
+
+
+def bspline5_power_form(x) -> np.ndarray:
+    """Reference B5: the power sum (1/4!) sum_k (-1)^k C(5,k) (x-k)_+^4, x clipped to [0, 5]."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 5.0)
+    out = np.zeros_like(x)
+    for k in range(6):
+        out += ((-1) ** k) * math.comb(5, k) * np.maximum(x - k, 0.0) ** 4
+    return out / 24.0
+
+
+class TestBSpline5:
+    def test_matches_power_form(self):
+        x = np.concatenate([np.linspace(-1.0, 6.0, 70001), np.arange(6.0), [2.5]])
+        assert_allclose(bspline5(x), bspline5_power_form(x), rtol=0, atol=1e-13)
+
+    def test_exact_zeros_off_the_support(self):
+        x = np.concatenate([np.linspace(-1.0, 0.0, 101), np.linspace(5.0, 6.0, 101),
+                            [-np.inf, -1e300, -1e-300, 5.0 + 1e-12, 1e300, np.inf]])
+        assert np.all(bspline5(x) == 0.0)
+
+    def test_symmetric_about_the_center(self):
+        # dyadic x, so 5 - x is exact
+        x = np.arange(-1024, 6 * 1024 + 1) / 1024.0
+        b = bspline5(x)
+        assert np.all(np.abs(b - bspline5(5.0 - x)) <= np.spacing(b))
+
+    def test_nan_propagates(self):
+        assert np.isnan(bspline5(np.nan))
 
 
 class TestFrequencyResponse:
@@ -176,6 +206,16 @@ class TestMoments:
             ref += [np.sum(f @ wt) * width for f in _moment_integrands(w, tau)]
         m = moments(w)
         assert_allclose([m.i1, m.i2, m.i3], ref, rtol=2e-7)
+
+    @pytest.mark.parametrize("delta, expected", [
+        (0.1, (1.0011121013946034, 29.547986225979596, 1372.347649792742)),
+        (0.2, (1.0011121013946034, 14.809213624122417, 346.6738712227994)),
+        (0.5, (1.0011121013946032, 6.019851627972857, 59.32085291392514)),
+    ])
+    def test_pinned_values(self, delta, expected):
+        # recorded from the np.sinc-based integrands, before the one-sine-one-cosine form
+        m = moments(make_wavelet(delta))
+        assert_allclose([m.i1, m.i2, m.i3], expected, rtol=1e-12, atol=0)
 
     def test_cold_moments_memory(self):
         moments.cache_clear()
