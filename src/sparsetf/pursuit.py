@@ -43,7 +43,7 @@ INNER_MAX_ITER = 50
 #: Inner-solver stop, in cycles of phase correction (see ``solve_p2``).
 INNER_TOL = 1e-4
 #: Sharp spectral cutoff for envelope extraction, relative to the carrier
-#: frequency in phase coordinates.
+#: frequency in phase coordinates (lower for d < 2; see ``solve_p2``).
 LOWPASS_FRACTION = 0.5
 
 
@@ -240,11 +240,11 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     gate.  A candidate whose objective lies within ``(2*pi*INNER_TOL)**2 *
     ||r||^2`` of the last accepted one, above or below, is a flat step: near
     the optimum that is the most a phase step of ``INNER_TOL`` cycles can
-    move it.  The solve opens with the envelope cutoff at a quarter of the
-    carrier (``LOWPASS_FRACTION / 2``); an accepted step there, or a flat step
-    that is not accepted, opens full bandwidth.  At full bandwidth
-    the solve converges on a flat step or once the largest phase correction
-    is below ``INNER_TOL`` cycles.  ``extension``: see ``extend_span``.
+    move it.  The full envelope cutoff is ``min(LOWPASS_FRACTION, 1 -
+    1/params.d)`` of the carrier; the solve opens at half of it, and an
+    accepted step there, or a flat step that is not accepted, opens it.  At
+    full bandwidth the solve converges on a flat step or once the largest
+    phase correction is below ``INNER_TOL`` cycles.  ``extension``: see ``extend_span``.
     """
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
@@ -264,13 +264,15 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     iterations = 0
     damp = 1.0
     consecutive_bad = 0
-    # cutoff continuation: a stiff first stage at a quarter of the carrier
-    # locks the phase onto the smooth minimizer before the full envelope
-    # bandwidth opens up
-    eta = LOWPASS_FRACTION / 2.0
+    # cutoff continuation: a stiff first stage at half the full cutoff locks
+    # the phase onto the smooth minimizer before the full envelope bandwidth
+    # opens up.  A neighbour at phase ratio d demodulates to 1 - 1/d cycles
+    # per carrier cycle, so the full cutoff stays below it
+    full = min(LOWPASS_FRACTION, 1.0 - 1.0 / cfg.params.d)
+    eta = full / 2.0
     for _ in range(INNER_MAX_ITER):
         iterations += 1
-        at_full_bandwidth = eta == LOWPASS_FRACTION
+        at_full_bandwidth = eta == full
         if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
             a_t, b_t = _demodulate(r.values, theta, eta, extension)
             amp = np.hypot(a_t, b_t)
@@ -294,11 +296,11 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
             theta = theta_new
             damp = 1.0
             consecutive_bad = 0
-            eta = LOWPASS_FRACTION
+            eta = full
         elif flat and not at_full_bandwidth:  # a flat step opens full bandwidth unaccepted
             damp = 1.0
             consecutive_bad = 0
-            eta = LOWPASS_FRACTION
+            eta = full
         else:
             consecutive_bad += 1
             damp *= 0.5

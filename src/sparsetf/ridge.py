@@ -52,7 +52,7 @@ class RidgeCurve:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(self.omega <= 0):
+        if not np.all(self.omega > 0):  # NaN too
             raise InvalidInputError("ridge scales must be positive")
 
     @property
@@ -84,7 +84,8 @@ def _refined_peaks(mags: np.ndarray, coeffs: np.ndarray, scales: np.ndarray,
     """Per-time local maxima above the threshold, refined to sub-grid scale.
 
     Interior maxima of each time slice are interpolated log-parabolically
-    across the three neighboring scale samples.  Returns parallel arrays
+    across the three neighboring scale samples; a maximum next to an exact
+    zero keeps its grid scale and magnitude.  Returns parallel arrays
     (time index, refined omega, refined magnitude, phase).
     """
     interior = mags[:, 1:-1]
@@ -95,6 +96,9 @@ def _refined_peaks(mags: np.ndarray, coeffs: np.ndarray, scales: np.ndarray,
         y0 = np.log(mags[ti, js - 1])
         y1 = np.log(mags[ti, js])
         y2 = np.log(mags[ti, js + 1])
+    # psi_hat has compact support, so a neighbour can be exactly 0: no refinement
+    flat = (mags[ti, js - 1] == 0) | (mags[ti, js + 1] == 0)
+    y0[flat] = y2[flat] = y1[flat]
     denom = y0 - 2.0 * y1 + y2
     shift = np.where(denom < 0, 0.5 * (y0 - y2) / np.where(denom < 0, denom, 1.0), 0.0)
     shift = np.clip(shift, -0.5, 0.5)
@@ -353,11 +357,37 @@ def recover_components(f: SampledSignal, w: BSplineWavelet, floor: float | None 
     return pairs
 
 
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (ascending) and columns of a least-cost matching, as SciPy's
+    ``linear_sum_assignment`` gives them: Kuhn-Munkres by shortest augmenting
+    paths with potentials (Crouse, IEEE TAES 52, 2016); a tall matrix is transposed."""
+    flip = cost.shape[0] > cost.shape[1]
+    c = cost.T if flip else cost
+    nr, nc = c.shape
+    u, v, row4col = np.zeros(nr), np.zeros(nc + 1), np.full(nc + 1, -1)  # column nc: the root
+    for i in range(nr):
+        row4col[nc], j, done = i, nc, np.zeros(nc + 1, dtype=bool)
+        dist, way = np.full(nc, np.inf), np.full(nc, nc)
+        while row4col[j] >= 0:  # grow the shortest-path tree to a free column
+            done[j] = True
+            r, free = row4col[j], ~done[:nc]
+            red = np.where(free, c[r] - u[r] - v[:nc], np.inf)
+            dist, way = np.minimum(dist, red), np.where(red < dist, j, way)
+            j = int(np.argmin(np.where(free, dist, np.inf)))
+            step = dist[j]
+            u[row4col[done]] += step
+            v[done] -= step
+            dist[free] -= step
+        while j != nc:  # augment back along the path to the root
+            row4col[j], j = row4col[way[j]], way[j]
+    cols = np.flatnonzero(row4col[:nc] >= 0)
+    if flip:
+        return cols, row4col[cols]
+    return np.arange(nr), cols[np.argsort(row4col[cols])]
+
+
 def compare_decompositions(x: Decomposition, y: Decomposition) -> ComparisonReport:
     """Match components of two decompositions and report their distances."""
-    # imported on call, so that importing the package loads no SciPy
-    from scipy.optimize import linear_sum_assignment
-
     if not x.residual.same_grid(y.residual):
         raise InvalidInputError("decompositions must live on one grid")
     cx, cy = list(x.components), list(y.components)
@@ -369,14 +399,14 @@ def compare_decompositions(x: Decomposition, y: Decomposition) -> ComparisonRepo
     for i in range(len(cx)):
         for j in range(len(cy)):
             cost[i, j] = float(np.mean(np.abs(np.log(fx[i] / fy[j]))))
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment(cost)
     matched, amp_e, phase_e, sup_e, rel_e = [], [], [], [], []
     for i, j in zip(rows, cols):
         a, b = cx[i], cy[j]
         matched.append((int(i), int(j)))
         amp_e.append(float(np.max(np.abs(a.a - b.a))))
         dtheta = a.theta - b.theta
-        dtheta = dtheta - 2.0 * np.pi * np.round(np.median(dtheta) / (2.0 * np.pi))
+        dtheta = dtheta - 2.0 * np.pi * np.round(_median_in_place(dtheta.copy()) / (2.0 * np.pi))
         phase_e.append(float(np.max(np.abs(dtheta) / fx[i])))
         diff = a.a * np.cos(a.theta) - b.a * np.cos(b.theta)
         sup_e.append(float(np.max(np.abs(diff))))

@@ -338,8 +338,8 @@ class TestMatchingPursuit:
 
     def test_package_pursuit_and_cli_load_no_scipy(self, tmp_path):
         # importing SciPy's interpolate, fft, integrate and optimize cost each
-        # process about 0.5 s and 53 MB; only compare_decompositions loads SciPy.
-        # numpy.ma (loaded by np.median) costs 8-17 ms and 1.0 MB
+        # process about 0.5 s and 53 MB; no command and no public function
+        # loads SciPy.  numpy.ma (loaded by np.median) costs 8-17 ms and 1.0 MB
         code = ("import sys, numpy as np; from sparsetf import *; from sparsetf import cli\n"
                 "from sparsetf.io import write_signal_csv\n"
                 "t = np.linspace(0, 1, 2048)\n"
@@ -352,6 +352,8 @@ class TestMatchingPursuit:
                 "assert cli.main(['verify', d + '/dec/decomposition.json', d + '/signal.csv']) in (0, 3)\n"
                 "assert cli.main(['partition', d + '/dec/decomposition.json']) == 0\n"
                 "assert cli.main(['cwt', d + '/signal.csv', '--out', d + '/cwt']) == 0\n"
+                "dec = d + '/dec/decomposition.json'\n"
+                "assert cli.main(['compare', dec, dec, '--tol', '0']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
                 "             or m.split('.')[:2] == ['numpy', 'ma']))")
         src = os.path.dirname(os.path.dirname(sparsetf.__file__))
@@ -464,6 +466,36 @@ class TestMatchingPursuit:
         assert dec.n_components == 3
         assert len(calls) <= 9
         assert_recovers(dec, gt, f)
+
+    @pytest.mark.parametrize("d, m, seed, n, bound", [
+        (1.4, 2, 90007, 4096, 2e-3),   # 3 components, worst 0.31, at a fixed cutoff of 0.5
+        (1.25, 2, 90007, 4096, 4e-3),  # a NaN ridge scale crashed the seeding
+        (1.25, 3, 90001, 8192, 4e-2),
+    ])
+    def test_closely_spaced_modes_keep_their_count(self, d, m, seed, n, bound):
+        # below d = 2 a lower neighbour demodulates to 1 - 1/d < 0.5 carrier
+        # cycles, inside a half-carrier envelope band; the cutoff follows d.
+        # Measured worst rel-L2: 4.0e-4, 8.1e-4 and 1.1e-2
+        f, gt = gen_random_well_separated(m, d, 0.05, seed, n, base_freq=64)
+        cfg = PursuitConfig(DictionaryParams(max(3 * gt.params.epsilon, 0.02), d,
+                                             epsilon0=0.05 * f.norm()),
+                            max_components=m + 2, voices=16, delta=0.45 * (d - 1) / (d + 1))
+        dec = matching_pursuit(f, cfg)
+        assert dec.n_components == m
+        assert_recovers(dec, gt, f, tol=bound)
+
+    @pytest.mark.parametrize("d, cutoffs", [(1.25, {0.1, 0.2}), (2.0, {0.25, 0.5}),
+                                            (3.0, {0.25, 0.5})])
+    def test_envelope_cutoff_follows_d(self, monkeypatch, d, cutoffs):
+        # min(LOWPASS_FRACTION, 1 - 1/d) at full bandwidth, half of it first
+        t = np.linspace(0, 1, 4096)
+        r = SampledSignal(0, 1, np.cos(2 * np.pi * 64 * t))
+        etas = []
+        demodulate = pursuit._demodulate
+        monkeypatch.setattr(pursuit, "_demodulate",
+                            lambda r, theta, eta, ext: etas.append(eta) or demodulate(r, theta, eta, ext))
+        solve_p2(r, 2 * np.pi * 62 * t, default_cfg(params=DictionaryParams(0.05, d, epsilon0=1e-2)))
+        assert {round(e, 12) for e in etas} == cutoffs
 
     def test_noisy_family_signal_keeps_its_true_count(self):
         # a 2-mode family signal plus white noise of rms 0.5 (about 11 dB below

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSignal,
                       Scalogram, compare_decompositions, cwt, default_scales,
@@ -12,7 +13,7 @@ from sparsetf import (Decomposition, InvalidInputError, RidgeCurve, SampledSigna
                       gen_random_well_separated, make_wavelet, recover_components,
                       ridges_ambiguous)
 from sparsetf.ridge import (ENVELOPE_GAIN_FLOOR, MERGE_GAP_FRACTION, MIN_CURVE_FRACTION,
-                            _deconvolve_envelope, _median_in_place, _merge_fragments,
+                            _assignment, _deconvolve_envelope, _median_in_place, _merge_fragments,
                             _pair_from_curve, _refined_peaks, _unwrap_along)
 from sparsetf.signal import spectral_filter
 from sparsetf.wavelet import _folded_cwt
@@ -67,6 +68,24 @@ class TestExtract:
         a = RidgeCurve(t, om, np.ones(t.size), np.zeros(t.size))
         b = RidgeCurve(t[keep], ratio * om[keep], np.ones(keep.sum()), np.zeros(keep.sum()))
         assert ridges_ambiguous([a, b], 0.2, (0.0, 1.0)) is expected
+
+    def test_peak_next_to_an_exact_zero_keeps_its_grid_scale(self):
+        # psi_hat has compact support, so a folded transform has exact zeros;
+        # a log-parabola through a zero neighbour gave a NaN scale and magnitude
+        times = np.linspace(0, 1, 200)
+        scales = 0.01 * 2.0 ** (np.arange(9) / 4)
+        row = np.array([0.1, 0.2, 0.3, 0.0, 1.0, 0.5, 0.2, 0.1, 0.05]) * np.sqrt(scales)
+        s = Scalogram(times, scales, np.tile(row, (times.size, 1)).astype(complex),
+                      make_wavelet(0.2))
+        curves = extract_ridges(s, floor=0.05)
+        assert len(curves) == 2  # the maxima at scales 2 and 4, each beside the zero
+        for c, j in zip(curves, (4, 2)):  # the larger scale first
+            assert np.all(c.omega == scales[j])
+            assert_allclose(c.magnitude, row[j], rtol=1e-12)
+
+    def test_curve_rejects_a_nan_scale(self):
+        with pytest.raises(InvalidInputError):
+            RidgeCurve([0.0, 1.0], [0.01, np.nan], [1.0, 1.0], [0.0, 1.0])
 
     def test_floor_validation(self):
         f = tone(64.0, 1024)
@@ -481,3 +500,28 @@ class TestCompare:
         rep = compare_decompositions(d1, d2)
         assert not rep.counts_equal
         assert len(rep.matched) == 1
+
+
+class TestAssignment:
+    """``_assignment`` against SciPy's ``linear_sum_assignment`` as the reference."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_scipy_on_random_rectangular_costs(self, scale):
+        rng = np.random.default_rng(1955)
+        for _ in range(1000):
+            cost = scale * rng.random(rng.integers(1, 10, size=2))
+            rows, cols = _assignment(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    def test_ties_give_the_least_total_cost(self):
+        # tied costs admit several least-cost matchings, and the two solvers
+        # may pick different ones: only the total and the count are pinned
+        rng = np.random.default_rng(2016)
+        for _ in range(2000):
+            cost = rng.integers(0, 4, size=rng.integers(1, 10, size=2)).astype(float)
+            rows, cols = _assignment(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert rows.size == want_rows.size == min(cost.shape)
+            assert np.all(np.diff(rows) > 0) and np.unique(cols).size == cols.size
+            assert cost[rows, cols].sum() == cost[want_rows, want_cols].sum()
