@@ -8,10 +8,9 @@ transform-concentration and recovery properties that justify the method.
 
 __version__ = "0.1.0"
 
-# NumPy loads these on first use (moments uses numpy.polynomial); loading them
-# here keeps that cost out of a process's first transform, pursuit or probe
+# NumPy loads numpy.fft on first use; loading it here keeps that cost out of a
+# process's first transform, pursuit or probe
 import numpy.fft  # noqa: F401
-import numpy.polynomial  # noqa: F401
 
 from . import errors, pursuit, ridge, separation, signal, synth, wavelet
 from .errors import *

@@ -97,8 +97,14 @@ class SampledSignal(_UniformGrid):
         return self.values.size
 
     def norm(self) -> float:
-        """L2 norm by trapezoidal quadrature over the span."""
-        return float(np.sqrt(np.trapezoid(self.values**2, dx=self.dt)))
+        """L2 norm by trapezoidal quadrature over the span; where the squares over- or
+        underflow, of the samples scaled exactly by a power of two to a peak in [1/2, 1)."""
+        with np.errstate(over="ignore"):
+            out = float(np.sqrt(np.trapezoid(self.values**2, dx=self.dt)))
+        if 1e-150 < out < np.inf:
+            return out
+        e = np.frexp(np.max(np.abs(self.values)))[1]
+        return float(np.ldexp(np.sqrt(np.trapezoid(np.ldexp(self.values, -e)**2, dx=self.dt)), e))
 
 
 @dataclass(frozen=True)
@@ -202,14 +208,19 @@ def differentiate(x, dt: float) -> np.ndarray:
     """First derivative on a uniform grid.
 
     Central differences in the interior, second-order one-sided stencils at
-    both endpoints; the result has the same length as the input.
+    both endpoints, as ``np.gradient(x, dt, edge_order=2)``; the result has
+    the same length as the input.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 3:
         raise InvalidInputError("differentiate needs a 1-d array of length >= 3")
     if dt <= 0:
         raise InvalidInputError("dt must be positive")
-    return np.gradient(x, dt, edge_order=2)
+    out = np.empty_like(x)
+    out[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
+    out[0] = (-1.5 / dt) * x[0] + (2.0 / dt) * x[1] + (-0.5 / dt) * x[2]
+    out[-1] = (0.5 / dt) * x[-3] + (-2.0 / dt) * x[-2] + (1.5 / dt) * x[-1]
+    return out
 
 
 def cumulative_integral(x, dt: float) -> np.ndarray:

@@ -79,10 +79,6 @@ def bspline5(x) -> np.ndarray:
     return out
 
 
-def _sinc(u):
-    return np.sinc(u / np.pi)
-
-
 @dataclass(frozen=True)
 class BSplineWavelet:
     """Analysis wavelet with frequency support ``[1-delta, 1+delta]``."""
@@ -108,7 +104,7 @@ class BSplineWavelet:
         tau = np.asarray(tau, dtype=float)
         if not np.all(np.isfinite(tau)):
             raise InvalidInputError("tau must be finite")
-        return self.peak_amplitude * np.exp(1j * tau) * _sinc(self.delta * tau / 5.0) ** 5
+        return self.peak_amplitude * np.exp(1j * tau) * np.sinc(self.delta * tau / 5.0 / np.pi) ** 5
 
 
 def make_wavelet(delta: float) -> BSplineWavelet:
@@ -166,6 +162,14 @@ def _moment_integrands(w: BSplineWavelet, tau: np.ndarray):
     return K * np.abs(S), dpsi, d2psi
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] (Golub & Welsch, 1969): the nodes, increasing,
+    are the eigenvalues of the Legendre Jacobi matrix, the weights 2*(first eigenvector row)^2."""
+    k = np.arange(1.0, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return x, v[0] ** 2 * (2.0 / np.sum(v[0] ** 2))  # the row has unit norm up to round-off
+
+
 @lru_cache(maxsize=64)
 def moments(w: BSplineWavelet) -> WaveletMoments:
     """Absolute moments by lobe-wise Gauss-Legendre quadrature with verified tail truncation.
@@ -188,7 +192,7 @@ def moments(w: BSplineWavelet) -> WaveletMoments:
     width = np.pi / c
     lobes = 256  # T = 256*pi/c ~ 800/c, so the |tau|^-5 envelope tail is < MOMENTS_RTOL for i3
     nodes = 8
-    rule = lru_cache(np.polynomial.legendre.leggauss)  # built once per node count
+    rule = lru_cache(_gauss_legendre)  # built once per node count
 
     def compute(k0, k1, nodes):
         x, wt = rule(nodes)
@@ -266,6 +270,18 @@ class Scalogram:
         return np.abs(self.coeffs)
 
 
+def _alias_bands(w: BSplineWavelet, omega: float, h: float, P: int, shift: float):
+    """Per alias l of ``_periodised_responses`` with a non-empty band at omega: the bins k,
+    increasing, with l - (k - shift)/P in h/(2*pi*omega) * [1-delta, 1+delta], and xi there."""
+    c = h / (2.0 * math.pi * omega)
+    lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
+    for l in range(math.ceil(lo - shift / P), math.floor(hi + 1.0 - shift / P) + 1):
+        k = np.arange(max(math.ceil(P * (l - hi) + shift), 0),
+                      min(math.floor(P * (l - lo) + shift), P - 1) + 1)
+        if k.size:
+            yield k, (l - (k - shift) / P) / c
+
+
 def _periodised_responses(w: BSplineWavelet, scales, h: float, P: int,
                           shift: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per omega in ``scales``, the bins k where H[k] != 0, increasing, and H there, for
@@ -275,22 +291,17 @@ def _periodised_responses(w: BSplineWavelet, scales, h: float, P: int,
     By Poisson summation, (omega/h)*H is the exact length-P DFT of
     ``g[m] = sum_q psi((m + q*P)*h/omega) * exp(-2*pi*i*shift*(m + q*P)/P)``
     evaluated at -k.  psi_hat vanishes outside [1-delta, 1+delta], so only
-    the l with l - (k - shift)/P in ``h/(2*pi*omega) * [1-delta, 1+delta]``
-    contribute.  One psi_hat call covers the bands of all scales.
+    the aliases l of ``_alias_bands`` contribute.  One psi_hat call covers
+    the bands of all scales.
     """
     # per alias l with a non-empty band: its bins, and psi_hat's argument there;
     # scales[j] owns ks[first[j]:first[j + 1]], whose values are H[edge[i]:edge[i + 1]]
     ks, xi, first, edge = [], [], [0], [0]
-    for omega in scales:
-        c = h / (2.0 * np.pi * omega)
-        lo, hi = (1.0 - w.delta) * c, (1.0 + w.delta) * c
-        for l in range(int(np.ceil(lo - shift / P)), int(np.floor(hi + 1.0 - shift / P)) + 1):
-            k0 = max(int(np.ceil(P * (l - hi) + shift)), 0)
-            k1 = min(int(np.floor(P * (l - lo) + shift)), P - 1)
-            if k1 >= k0:
-                ks.append(np.arange(k0, k1 + 1))
-                xi.append((l - (ks[-1] - shift) / P) / c)
-                edge.append(edge[-1] + ks[-1].size)
+    for omega in np.asarray(scales, dtype=float).tolist():
+        for k, x in _alias_bands(w, omega, h, P, shift):
+            ks.append(k)
+            xi.append(x)
+            edge.append(edge[-1] + k.size)
         first.append(len(ks))
     H = w.freq_response(np.concatenate([np.zeros(0), *xi]))
     out = []
@@ -386,9 +397,11 @@ def _probe_basis(pair: PhasePair) -> tuple:
     last = _last_probe_basis  # one read: a concurrent caller may replace it
     if last[0] is pair:
         return last[1]
-    P = pair.n - 1
-    alpha = (pair.theta[-1] - pair.theta[0]) / P
-    y = pair.a * np.exp(-1j * (pair.theta - alpha * np.arange(pair.n)))
+    alpha = float(pair.theta[-1] - pair.theta[0]) / (pair.n - 1)
+    phase = alpha * np.arange(pair.n) - pair.theta
+    y = np.empty(pair.n, dtype=complex)  # a*exp(i*phase), written part by part
+    np.multiply(pair.a, np.cos(phase), out=y.real)
+    np.multiply(pair.a, np.sin(phase), out=y.imag)
     Y = np.fft.fft(extend_span(y, "periodic").base)
     basis = (check_scale_separation(pair, eps=1.0), pair.theta_prime(), float(np.max(pair.a)),
              alpha, Y)
@@ -396,26 +409,28 @@ def _probe_basis(pair: PhasePair) -> tuple:
     return basis
 
 
-def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float,
-                            basis: tuple | None = None) -> complex:
-    """(1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau.
+def _probe_terms(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> tuple:
+    """``(W, psi_hat(omega*theta'(t)))`` at grid index ``it``, from one psi_hat call.
 
-    The untruncated sum runs over the periodic extension of the pair: the
-    envelope repeats with the span and the phase advances by
-    theta(t1)-theta(t0) per period.  That extension is quasi-periodic,
-    ``z[m] = y[m mod P] * exp(-i*alpha*m)`` with ``alpha = theta_span/P`` and
-    ``y[r] = a[r] exp(-i(theta[r] - alpha*r))``, so the sum is one
-    inverse-DFT coefficient of ``fft(y)`` times the periodised response
-    shifted by ``alpha*P/(2*pi)`` bins, taken over the bins where that
-    response is non-zero.  ``basis`` is ``_probe_basis(pair)``, when the
-    caller holds it.
+    ``W = (1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau``
+    runs over the periodic extension of the pair, ``z[m] = y[m mod P] * exp(-i*alpha*m)``
+    with ``alpha = theta_span/P`` and ``y[r] = a[r] exp(-i(theta[r] - alpha*r))``.  So W
+    is one inverse-DFT coefficient of ``fft(y)`` times the periodised response
+    shifted by ``alpha*P/(2*pi)`` bins, summed band by band.
     """
     P = pair.n - 1
-    *_, alpha, Y = basis or _probe_basis(pair)
-    k, H = _periodised_responses(w, [omega], pair.dt, P, shift=alpha * P / (2.0 * np.pi))[0]
+    _, theta_p, _, alpha, Y = _probe_basis(pair)
+    bands = list(_alias_bands(w, omega, pair.dt, P, alpha * P / (2.0 * math.pi)))
+    k = np.concatenate([np.zeros(0, dtype=int), *(k for k, _ in bands)])
+    H = w.freq_response(np.concatenate([*(x for _, x in bands), [omega * theta_p[it]]]))
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
-    total = np.dot(Y[k] * H, carrier) / P
-    return complex(cmath.exp(-1j * alpha * it) * total * math.sqrt(omega))
+    total = np.dot(Y[k] * H[:-1], carrier) / P
+    return cmath.exp(-1j * alpha * it) * complex(total) * math.sqrt(omega), float(H[-1])
+
+
+def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
+    """W of ``_probe_terms``, the transform of a e^{-i theta} at grid index ``it``."""
+    return _probe_terms(pair, w, it, omega)[0]
 
 
 def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: float):
@@ -441,20 +456,20 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
         raise InvalidInputError("t and omega must be finite")
     if omega <= 0:
         raise InvalidInputError("omega must be positive")
-    if 2 * np.pi * omega < MIN_SAMPLES_PER_CYCLE * pair.dt:
+    dt = pair.dt
+    if 2 * math.pi * omega < MIN_SAMPLES_PER_CYCLE * dt:
         raise InvalidInputError(
             f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
-    if not pair.t0 - pair.dt / 2 <= t <= pair.t1 + pair.dt / 2:
+    if not pair.t0 - dt / 2 <= t <= pair.t1 + dt / 2:
         raise InvalidInputError(f"t={t} lies outside the pair's span [{pair.t0}, {pair.t1}]")
-    report, theta_p, A, *_ = basis = _probe_basis(pair)
-    it = min(max(int(round((t - pair.t0) / pair.dt)), 0), pair.n - 1)
+    report, _, A, *_ = _probe_basis(pair)
+    it = min(max(int(round((t - pair.t0) / dt)), 0), pair.n - 1)
 
-    W = _transform_complex_mode(pair, w, it, omega, basis)
-    main = pair.a[it] * cmath.exp(-1j * pair.theta[it]) * w.freq_response(omega * theta_p[it])
-    error = float(abs(W / math.sqrt(omega) - main))
+    W, psi_main = _probe_terms(pair, w, it, omega)
+    at = float(pair.a[it])
+    error = abs(W / math.sqrt(omega) - at * cmath.exp(-1j * float(pair.theta[it])) * psi_main)
 
     mom = moments(w)
-    at = float(pair.a[it])
     mp = report.m_prime
     C = (A + 4.0 * at + 1.0) * mom.i1 + (mp + (mp + 1.0) * at) * mom.i2 + mp * at * mom.i3
     return error, float(C * report.eps_measured)

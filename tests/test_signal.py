@@ -43,6 +43,14 @@ class TestDifferentiate:
         want = cumulative_trapezoid(x, dx=dt, initial=0.0)
         assert np.array_equal(cumulative_integral(x, dt), want)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 4096])
+    def test_is_numpys_gradient_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = 10.0 ** rng.uniform(-6, 6) * rng.standard_normal(n)
+            dt = 10.0 ** rng.uniform(-6, 3)
+            assert np.array_equal(differentiate(x, dt), np.gradient(x, dt, edge_order=2))
+
     def test_derivative_of_cumulative_integral_is_identity(self):
         # second-order accuracy: error drops ~4x when the step halves
         errs = []
@@ -54,6 +62,21 @@ class TestDifferentiate:
             errs.append(np.max(np.abs(back - x)))
         assert errs[0] < 1e-3
         assert errs[1] < 0.4 * errs[0]
+
+
+class TestNorm:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+    def test_scales_with_the_signal_beyond_the_range_of_its_squares(self, scale):
+        # the squares of these samples overflow or underflow
+        t = np.linspace(0.0, 1.0, 4097)
+        unit = SampledSignal(0.0, 1.0, np.cos(2 * np.pi * 64 * t)).norm()
+        got = SampledSignal(0.0, 1.0, scale * np.cos(2 * np.pi * 64 * t)).norm()
+        assert got == pytest.approx(scale * unit, rel=1e-15, abs=0)
+
+    def test_a_tiny_signal_sets_a_pursuit_threshold(self):
+        t = np.linspace(0.0, 1.0, 4097)
+        f = SampledSignal(0.0, 1.0, 1e-200 * np.cos(2 * np.pi * 64 * t))
+        assert DictionaryParams(0.05, 2.0, epsilon0=0.05 * f.norm()).epsilon0 > 0
 
 
 class TestInnerProduct:

@@ -12,8 +12,8 @@ from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bs
                       gen_random_well_separated, make_wavelet, moments)
 from sparsetf import wavelet
 from sparsetf.signal import extend_span
-from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _moment_integrands,
-                              _periodised_responses, _transform_complex_mode)
+from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _gauss_legendre,
+                              _moment_integrands, _periodised_responses, _transform_complex_mode)
 
 from conftest import tone, tone_pair
 
@@ -216,6 +216,18 @@ class TestMoments:
         # recorded from the np.sinc-based integrands, before the one-sine-one-cosine form
         m = moments(make_wavelet(delta))
         assert_allclose([m.i1, m.i2, m.i3], expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_gauss_rules_are_numpys(self, n):
+        x, wt = _gauss_legendre(n)
+        ref_x, ref_wt = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) < 1e-14 and np.max(np.abs(wt - ref_wt)) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_gauss_rules_integrate_polynomials_of_degree_below_2n(self, n):
+        x, wt = _gauss_legendre(n)
+        for k in range(2 * n):
+            assert abs(wt @ x**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14
 
     def test_cold_moments_memory(self):
         moments.cache_clear()
@@ -614,6 +626,55 @@ class TestConcentration:
         for k in range(20):
             concentration_error(pair, w, k / 19, 0.002 + 0.0001 * k)
         assert sizes == [pair.n - 1]
+
+    def test_a_warm_probe_evaluates_psi_hat_once(self, monkeypatch):
+        # the transform's alias bands and the principal term share one call
+        pair, w = tone_pair(64.0), make_wavelet(0.2)
+        concentration_error(pair, w, 0.5, 0.003)  # the pair's basis is now held
+        calls, response = [], wavelet.BSplineWavelet.freq_response
+
+        def counting_response(self, xi):
+            calls.append(np.size(xi))
+            return response(self, xi)
+
+        monkeypatch.setattr(wavelet.BSplineWavelet, "freq_response", counting_response)
+        for omega in (1 / (2 * np.pi * 64), 0.7 / (2 * np.pi * 64), 1e6):
+            calls.clear()
+            concentration_error(pair, w, 0.3, omega)
+            assert len(calls) == 1
+
+    # (seed, eps, [(t, omega * theta'(t), error, bound)]) as recorded when the
+    # probe still evaluated psi_hat twice: in band, below it, at both band
+    # edges, above it and far above (no alias band); the in-band and
+    # lower-edge probes have two alias bands, split at bin 0
+    PINNED = [
+        (101, 0.02, [(0.18, 1.0, 0.048158891330245035, 7.827799661754651),
+                     (0.22, 0.7, 1.7810053989244535e-06, 7.865302952491004),
+                     (0.83, 0.81, 0.006307617513017449, 7.368649492426496),
+                     (0.34, 1.19, 0.000803840463003661, 7.92451975053974),
+                     (0.71, 1.35, 0.00014341288239954527, 8.218545299519626),
+                     (0.56, 20.0, 0.0, 8.897275648152918)]),
+        (102, 0.05, [(0.18, 1.0, 0.26944649187938097, 6.628502922906368),
+                     (0.22, 0.7, 0.004046611222541285, 6.69614102236514),
+                     (0.83, 0.81, 0.037215704163223694, 5.925450210214032),
+                     (0.34, 1.19, 0.15086532362415953, 6.385650471998229),
+                     (0.71, 1.35, 0.022467076722348198, 6.641200628008651),
+                     (0.56, 20.0, 0.0, 6.596569239518671)]),
+        (103, 0.1, [(0.18, 1.0, 0.27254116879865675, 32.11557811001142),
+                    (0.22, 0.7, 0.017931085347685293, 31.604922571900765),
+                    (0.83, 0.81, 0.17118743354420252, 28.51221180839791),
+                    (0.34, 1.19, 0.06282079389414373, 25.358093113043534),
+                    (0.71, 1.35, 0.058175987139170146, 27.002086973049195),
+                    (0.56, 20.0, 0.0, 24.72972964881183)]),
+    ]
+
+    @pytest.mark.parametrize("seed, eps, probes", PINNED, ids=["pair-101", "pair-102", "pair-103"])
+    def test_probes_match_the_recorded_values(self, seed, eps, probes):
+        pair = gen_random_well_separated(1, 2.0, eps, seed, 2048)[1].pairs[0]
+        theta_p, w = pair.theta_prime(), make_wavelet(0.2)
+        for t, ratio, error, bound in probes:
+            got = concentration_error(pair, w, t, ratio / theta_p[round(t / pair.dt)])
+            assert_allclose(got, (error, bound), rtol=1e-12, atol=0)
 
     def test_memo_holds_at_most_one_pair(self):
         w = make_wavelet(0.2)
