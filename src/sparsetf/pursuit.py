@@ -107,65 +107,31 @@ def _fast_len(n: int) -> int:
         m += 1
 
 
-def _cyclic_reduction(lo, di, up, b):
-    """Solve a diagonally dominant tridiagonal system (``lo[0] = up[-1] = 0``).
+def _resample(theta: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Local cubic r(theta) at s in [theta[0], theta[-1]], with no linear system.
 
-    Odd-even cyclic reduction: the even rows absorb their odd neighbours,
-    which leaves a system of half the size whose off-diagonals shrink about
-    quadratically; it recurses until they are below round-off next to the
-    diagonal, then solves the odd rows from their neighbours on the way back.
+    theta and r share a uniform time grid, so the slope at a knot is
+    dr/dtheta = (dr/di)/(dtheta/di), each a fourth-order five-point difference
+    in the sample index i (one-sided at the two samples nearest each end).
+    Each interval is the cubic Hermite piece through its knots' values and
+    slopes.  theta: finite, strictly increasing, at least five samples.
+    Raises ``NumericalFailureError`` unless dtheta/di is positive.
     """
-    if np.all(np.abs(lo) + np.abs(up) <= np.finfo(float).eps * np.abs(di)):
-        return b / di
-    k = di.size
-    # an identity row at each end gives every kept row two neighbours
-    lo, di, up, b = (np.concatenate(([c], v, [c]))
-                     for v, c in ((lo, 0.0), (di, 1.0), (up, 0.0), (b, 0.0)))
-    keep, prev, nxt, odd = slice(1, k + 1, 2), slice(0, k, 2), slice(2, k + 2, 2), slice(2, k + 1, 2)
-    alpha, gamma = lo[keep] / di[prev], up[keep] / di[nxt]
-    x = np.zeros(k + 2)
-    x[keep] = _cyclic_reduction(-alpha * lo[prev], di[keep] - alpha * up[prev] - gamma * lo[nxt],
-                                -gamma * up[nxt], b[keep] - alpha * b[prev] - gamma * b[nxt])
-    x[odd] = (b[odd] - lo[odd] * x[1:k:2] - up[odd] * x[3 : k + 2 : 2]) / di[odd]
-    return x[1:-1]
-
-
-def _spline(x: np.ndarray, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic spline through (x, y), evaluated at xs in [x[0], x[-1]].
-
-    The interpolant of ``scipy.interpolate.CubicSpline(x, y)``: with three
-    points it is the parabola through them.  With more, the slopes solve
-    CubicSpline's tridiagonal system; its first and last (not-a-knot) rows are
-    eliminated into their neighbours, which leaves a diagonally dominant
-    system for the inner slopes (see ``_cyclic_reduction``).  x must be
-    finite and strictly increasing.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if x.size == 3:
-        c = (m[1] - m[0]) / (h[0] + h[1])
-        s = np.array([m[0] - c * h[0], m[0] + c * h[0], m[1] + c * h[1]])
-    else:
-        # rows 1..n-2, h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] = b[i],
-        # less the not-a-knot rows h[1] s[0] + d0 s[1] = b0 and d1 s[-2] + h[-2] s[-1] = b1
-        lo, di, up = h[1:].copy(), 2.0 * (h[:-1] + h[1:]), h[:-1].copy()
-        b = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        b0 = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
-        b1 = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
-        di[0] -= d0
-        b[0] -= b0
-        di[-1] -= d1
-        b[-1] -= b1
-        lo[0] = up[-1] = 0.0
-        inner = _cyclic_reduction(lo, di, up, b)
-        s = np.concatenate([[(b0 - d0 * inner[0]) / h[1]], inner,
-                            [(b1 - d1 * inner[-1]) / h[-2]]])
-    t = (s[:-1] + s[1:] - 2.0 * m) / h
-    c0, c1 = t / h, (m - s[:-1]) / h - t
-    i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, x.size - 2)
-    d = xs - x[i]
-    return ((c0[i] * d + c1[i]) * d + s[i]) * d + y[i]
+    y = np.stack([theta, r])
+    d = np.empty_like(y)
+    d[:, 2:-2] = (y[:, :-4] - 8.0 * y[:, 1:-3] + 8.0 * y[:, 3:-1] - y[:, 4:]) / 12.0
+    ends = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+    d[:, :2], d[:, :-3:-1] = y[:, :5] @ ends.T, -(y[:, :-6:-1] @ ends.T)  # mirrored at t1
+    if not np.all(d[0] > 0):
+        raise NumericalFailureError("the phase's five-point derivative is not positive")
+    slope = d[1] / d[0]
+    h = np.diff(theta)
+    m = np.diff(r) / h
+    t = (slope[:-1] + slope[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - slope[:-1]) / h - t
+    i = np.clip(np.searchsorted(theta, s, side="right") - 1, 0, theta.size - 2)
+    x = s - theta[i]
+    return ((c0[i] * x + c1[i]) * x + slope[i]) * x + r[i]
 
 
 def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
@@ -179,12 +145,12 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
     is the in-phase envelope, its imaginary part the quadrature one.  For
     r = A*cos(theta + phi) with slow A, phi this returns (A*cos(phi),
     -A*sin(phi)).  Raises ``NumericalFailureError`` unless theta is finite and
-    strictly increasing, as a cubic spline in the phase needs.
+    strictly increasing with a positive five-point derivative (``_resample``).
     """
     if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
         raise NumericalFailureError("the phase is not finite and strictly increasing")
     s = np.linspace(theta[0], theta[-1], _fast_len(theta.size - 1) + 1)
-    two_r = 2.0 * _spline(theta, r_values, s)
+    two_r = 2.0 * _resample(theta, r_values, s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
     z = np.empty(s.size, dtype=complex)  # 2*r*exp(i*s), written part by part
     np.multiply(two_r, np.cos(s), out=z.real)
@@ -246,6 +212,8 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     full bandwidth the solve converges on a flat step or once the largest
     phase correction is below ``INNER_TOL`` cycles.  ``extension``: see ``extend_span``.
     """
+    if r.n < 5:
+        raise InvalidInputError("solve_p2 needs at least 5 samples")
     theta = np.asarray(theta_init, dtype=float).copy()
     if theta.ndim != 1 or theta.size != r.n:
         raise InvalidInputError("theta_init must match the signal grid")
@@ -365,6 +333,8 @@ def partition_domain(theta_prime, d: float) -> np.ndarray:
 
 def _seed_phases(residual: SampledSignal, cfg: PursuitConfig, extension: str) -> list:
     """Initial phases from the transform ridges of the residual, largest mode norm first."""
+    if residual.n < 5:  # too short for solve_p2
+        return []
     w = make_wavelet(cfg.delta)
     try:
         pairs = recover_components(residual, w, voices=cfg.voices, extension=extension)

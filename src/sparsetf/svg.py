@@ -84,15 +84,6 @@ def line_plot(path, x, series, title: str = "", labels=None):
     _write(path, _LINE_SIZE, title, parts)
 
 
-def _color(v: float) -> str:
-    """Map [0, 1] to a dark-blue -> yellow ramp."""
-    v = min(max(v, 0.0), 1.0)
-    r = int(255 * min(1.0, 2.0 * v))
-    g = int(255 * v)
-    b = int(96 * (1.0 - v) + 40)
-    return f"rgb({r},{g},{b})"
-
-
 def heatmap(path, times, scales, mags, title: str = ""):
     """Magnitude heatmap over (time, log-scale); large grids are block-averaged."""
     width, height = _HEATMAP_SIZE
@@ -112,16 +103,21 @@ def heatmap(path, times, scales, mags, title: str = ""):
     def sy(j):
         return height - _MARGIN - (log_s[j] - log_s[0]) / (log_s[-1] - log_s[0]) * h_in
 
-    parts = []
-    for a0, a1 in zip(ti[:-1], ti[1:]):
-        for b0, b1 in zip(si[:-1], si[1:]):
-            block = float(np.mean(mags[a0:a1 + 1, b0:b1 + 1]))
-            x0, x1 = sx(a0), sx(a1)
-            y1v, y0v = sy(b0), sy(b1)
-            parts.append(
-                f'<rect x="{x0:.1f}" y="{y0v:.1f}" width="{x1-x0:.2f}" '
-                f'height="{y1v-y0v:.2f}" fill="{_color(block/peak)}"/>'
-            )
+    # block means from prefix sums; neighbouring blocks share their edge rows and columns
+    c = np.zeros((times.size + 1, scales.size))
+    np.cumsum(mags, axis=0, out=c[1:])
+    rows = c[ti[1:] + 1] - c[ti[:-1]]
+    c = np.cumsum(np.concatenate([np.zeros((rows.shape[0], 1)), rows], axis=1), axis=1)
+    block = (c[:, si[1:] + 1] - c[:, si[:-1]]) / np.outer(np.diff(ti) + 1, np.diff(si) + 1)
+    v = np.clip(block / peak, 0.0, 1.0).ravel()  # dark blue -> yellow
+    rgb = np.stack([255 * np.minimum(1.0, 2.0 * v), 255 * v, 96 * (1.0 - v) + 40]).astype(int)
+    x, y = sx(ti), sy(si)
+    nt, ns = ti.size - 1, si.size - 1
+    parts = list(map('<rect x="{:.1f}" y="{:.1f}" width="{:.2f}" height="{:.2f}" '
+                     'fill="rgb({},{},{})"/>'.format,
+                     np.repeat(x[:-1], ns).tolist(), np.tile(y[1:], nt).tolist(),
+                     np.repeat(np.diff(x), ns).tolist(), np.tile(y[:-1] - y[1:], nt).tolist(),
+                     *rgb.tolist()))
     for j in (0, scales.size - 1):
         parts.append(f'<text x="{_MARGIN-6:.1f}" y="{sy(j)+3:.1f}" '
                      f'text-anchor="end">{_fmt(float(scales[j]))}</text>')

@@ -409,28 +409,25 @@ def _probe_basis(pair: PhasePair) -> tuple:
     return basis
 
 
-def _probe_terms(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> tuple:
+def _probe_terms(pair: PhasePair, basis: tuple, w: BSplineWavelet, it: int,
+                 omega: float) -> tuple:
     """``(W, psi_hat(omega*theta'(t)))`` at grid index ``it``, from one psi_hat call.
 
     ``W = (1/sqrt(omega)) * integral a(tau) e^{-i theta(tau)} psi((tau-t)/omega) dtau``
     runs over the periodic extension of the pair, ``z[m] = y[m mod P] * exp(-i*alpha*m)``
     with ``alpha = theta_span/P`` and ``y[r] = a[r] exp(-i(theta[r] - alpha*r))``.  So W
     is one inverse-DFT coefficient of ``fft(y)`` times the periodised response
-    shifted by ``alpha*P/(2*pi)`` bins, summed band by band.
+    shifted by ``alpha*P/(2*pi)`` bins, summed band by band.  ``basis`` is
+    ``_probe_basis(pair)``.
     """
     P = pair.n - 1
-    _, theta_p, _, alpha, Y = _probe_basis(pair)
+    _, theta_p, _, alpha, Y = basis
     bands = list(_alias_bands(w, omega, pair.dt, P, alpha * P / (2.0 * math.pi)))
     k = np.concatenate([np.zeros(0, dtype=int), *(k for k, _ in bands)])
     H = w.freq_response(np.concatenate([*(x for _, x in bands), [omega * theta_p[it]]]))
     carrier = np.exp(2j * np.pi * ((k * it) % P) / P)
     total = np.dot(Y[k] * H[:-1], carrier) / P
     return cmath.exp(-1j * alpha * it) * complex(total) * math.sqrt(omega), float(H[-1])
-
-
-def _transform_complex_mode(pair: PhasePair, w: BSplineWavelet, it: int, omega: float) -> complex:
-    """W of ``_probe_terms``, the transform of a e^{-i theta} at grid index ``it``."""
-    return _probe_terms(pair, w, it, omega)[0]
 
 
 def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: float):
@@ -462,10 +459,11 @@ def concentration_error(pair: PhasePair, w: BSplineWavelet, t: float, omega: flo
             f"omega={omega} is sampled below {MIN_SAMPLES_PER_CYCLE} points per cycle")
     if not pair.t0 - dt / 2 <= t <= pair.t1 + dt / 2:
         raise InvalidInputError(f"t={t} lies outside the pair's span [{pair.t0}, {pair.t1}]")
-    report, _, A, *_ = _probe_basis(pair)
+    basis = _probe_basis(pair)
+    report, _, A, *_ = basis
     it = min(max(int(round((t - pair.t0) / dt)), 0), pair.n - 1)
 
-    W, psi_main = _probe_terms(pair, w, it, omega)
+    W, psi_main = _probe_terms(pair, basis, w, it, omega)
     at = float(pair.a[it])
     error = abs(W / math.sqrt(omega) - at * cmath.exp(-1j * float(pair.theta[it])) * psi_main)
 

@@ -14,15 +14,17 @@ from hypothesis.extra.numpy import arrays
 
 import sparsetf
 from sparsetf import (Decomposition, InvalidInputError, PhasePair, PursuitConfig,
-                      SampledSignal, cwt, default_scales, gen_mode_mixing_example,
-                      gen_random_well_separated, make_wavelet)
+                      SampledSignal, cwt, default_scales, gen_crossing_example,
+                      gen_mode_mixing_example, gen_random_well_separated, make_wavelet)
 from sparsetf import io as sio
 from sparsetf.cli import build_parser, main
 from sparsetf.io import (decomposition_from_dict, decomposition_to_dict,
                          ground_truth_to_dict, read_decomposition_json, read_signal_csv,
                          scalogram_to_dict, write_decomposition_json, write_json,
                          write_run_manifest, write_scalogram_json, write_signal_csv)
-from sparsetf.svg import _LINE_SIZE, _MARGIN, _PALETTE, _fmt, _ticks, line_plot
+from sparsetf.signal import smoother_extension
+from sparsetf.svg import (_HEATMAP_CELLS, _HEATMAP_SIZE, _LINE_SIZE, _MARGIN, _PALETTE, _fmt,
+                         _ticks, _write, heatmap, line_plot)
 
 from conftest import tone, tone_pair
 
@@ -185,6 +187,56 @@ def line_plot_reference(path, x, series, title: str = "", labels=None):
         fh.write("\n".join(parts))
 
 
+def _color_reference(v: float) -> str:
+    """Map [0, 1] to a dark-blue -> yellow ramp."""
+    v = min(max(v, 0.0), 1.0)
+    r = int(255 * min(1.0, 2.0 * v))
+    g = int(255 * v)
+    b = int(96 * (1.0 - v) + 40)
+    return f"rgb({r},{g},{b})"
+
+
+def heatmap_reference(path, times, scales, mags, title: str = ""):
+    """The per-block ``svg.heatmap`` that the array one replaced."""
+    width, height = _HEATMAP_SIZE
+    times = np.asarray(times, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    mags = np.asarray(mags, dtype=float)
+    ct, cs = _HEATMAP_CELLS
+    ti = np.linspace(0, times.size - 1, min(ct, times.size) + 1).astype(int)
+    si = np.linspace(0, scales.size - 1, min(cs, scales.size) + 1).astype(int)
+    peak = float(np.max(mags)) or 1.0
+    w_in, h_in = width - 2 * _MARGIN, height - 2 * _MARGIN
+    log_s = np.log(scales)
+
+    def sx(i):
+        return _MARGIN + (times[i] - times[0]) / (times[-1] - times[0]) * w_in
+
+    def sy(j):
+        return height - _MARGIN - (log_s[j] - log_s[0]) / (log_s[-1] - log_s[0]) * h_in
+
+    parts = []
+    for a0, a1 in zip(ti[:-1], ti[1:]):
+        for b0, b1 in zip(si[:-1], si[1:]):
+            block = float(np.mean(mags[a0:a1 + 1, b0:b1 + 1]))
+            x0, x1 = sx(a0), sx(a1)
+            y1v, y0v = sy(b0), sy(b1)
+            parts.append(
+                f'<rect x="{x0:.1f}" y="{y0v:.1f}" width="{x1-x0:.2f}" '
+                f'height="{y1v-y0v:.2f}" fill="{_color_reference(block/peak)}"/>'
+            )
+    for j in (0, scales.size - 1):
+        parts.append(f'<text x="{_MARGIN-6:.1f}" y="{sy(j)+3:.1f}" '
+                     f'text-anchor="end">{_fmt(float(scales[j]))}</text>')
+    for frac in (0.0, 0.5, 1.0):
+        i = int(frac * (times.size - 1))
+        parts.append(f'<text x="{sx(i):.1f}" y="{height-_MARGIN+16:.1f}" '
+                     f'text-anchor="middle">{_fmt(float(times[i]))}</text>')
+    parts.append(f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w_in}" height="{h_in}" '
+                 'fill="none" stroke="black"/>')
+    _write(path, _HEATMAP_SIZE, title, parts)
+
+
 _EDGE_FLOATS = st_.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-308, 1 / 3])
 
 
@@ -278,6 +330,22 @@ class TestWriterParity:
         series, labels = [y, -0.5 * y], ["a(t)", "b(t)"]
         line_plot(tmp_path / "new.svg", x, series, title="t", labels=labels)
         line_plot_reference(tmp_path / "ref.svg", x, series, title="t", labels=labels)
+        assert (tmp_path / "new.svg").read_text() == (tmp_path / "ref.svg").read_text()
+
+    @pytest.mark.parametrize("make, zero", [
+        pytest.param(lambda: gen_mode_mixing_example(4096)[0], False, id="mode_mixing"),
+        pytest.param(lambda: gen_crossing_example(32, 2048)[0], False, id="crossing"),
+        # fewer samples than heatmap columns: blocks of one sample, some repeated
+        pytest.param(lambda: tone(16.3, 100), False, id="short_tone"),
+        pytest.param(lambda: tone(16.3, 300), True, id="all_zero"),
+    ])
+    def test_heatmap(self, tmp_path, make, zero):
+        f = make()
+        w = make_wavelet(0.2)
+        s = cwt(f, w, default_scales(f, w, voices=32), extension=smoother_extension(f.values))
+        mags = np.zeros_like(s.magnitude()) if zero else s.magnitude()
+        heatmap(tmp_path / "new.svg", s.times, s.scales, mags, title="t")
+        heatmap_reference(tmp_path / "ref.svg", s.times, s.scales, mags, title="t")
         assert (tmp_path / "new.svg").read_text() == (tmp_path / "ref.svg").read_text()
 
     @pytest.mark.parametrize("signal", [

@@ -16,7 +16,7 @@ from sparsetf import (Decomposition, DictionaryParams, InvalidInputError, Numeri
                       gen_mode_mixing_example, gen_random_well_separated,
                       matching_pursuit, p2_objective, partition_domain, solve_p2)
 from sparsetf import pursuit
-from sparsetf.pursuit import ADMISSIBILITY_MARGIN, _demodulate, _fast_len, _seed_phases, _spline
+from sparsetf.pursuit import ADMISSIBILITY_MARGIN, _demodulate, _fast_len, _resample, _seed_phases
 from sparsetf.signal import spectral_filter
 
 from conftest import tone, tone_pair
@@ -164,6 +164,13 @@ class TestSolve:
         err = SampledSignal(f.t0, f.t1, res.pair.mode().values - true.mode().values)
         assert err.norm() / true.mode().norm() <= 1e-3
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fewer_than_five_samples_raise(self, n):
+        # the resampler's five-point slopes need five samples
+        r = SampledSignal(0, 1, np.cos(np.linspace(0, 3, n)))
+        with pytest.raises(InvalidInputError, match="5 samples"):
+            solve_p2(r, np.arange(1.0, n + 1), default_cfg())
+
     def test_non_monotone_init_raises(self):
         n = 512
         r = SampledSignal(0, 1, np.zeros(n))
@@ -243,24 +250,46 @@ class TestDemodulate:
         assert [_fast_len(n) for n in range(1, 20_001)] == [next_fast_len(n) for n in range(1, 20_001)]
 
 
-class TestSpline:
+class TestResample:
     @settings(deadline=None, max_examples=60)
-    @given(st_.integers(3, 3000), st_.integers(0, 2**32 - 1), st_.floats(1.0, 10.0),
-           st_.floats(-3, 3), st_.floats(-1e3, 1e3))
-    @example(3, 0, 1.0, 0.0, 0.0)  # the parabola through three points
-    @example(3, 1, 10.0, 2.0, -5.0)
-    @example(4, 2, 10.0, 0.0, 0.0)  # two inner slopes, one beside each end row
-    def test_matches_scipy_cubic_spline(self, n, seed, step_ratio, log_step, offset):
-        # steps drawn independently within a factor step_ratio of each other,
-        # a far rougher grid than an iterate's phase; the evaluation grid
-        # starts and ends on the first and last knot, as in _demodulate
+    @given(st_.integers(5, 3000), st_.integers(0, 2**32 - 1), st_.floats(-3, 3),
+           st_.floats(-1e3, 1e3))
+    @example(5, 0, 0.0, 0.0)  # the fewest samples: every slope is a one-sided one
+    def test_exact_on_cubics_when_theta_is_linear_in_the_index(self, n, seed, log_step, offset):
+        # the five-point differences are exact on quartics in the index, so the
+        # Hermite pieces reproduce any cubic r(theta) when theta is linear in it
         rng = np.random.default_rng(seed)
-        steps = 10.0**log_step * step_ratio ** rng.uniform(size=n - 1)
-        x = offset + np.concatenate([[0.0], np.cumsum(steps)])
-        y = rng.standard_normal(n)
-        xs = np.linspace(x[0], x[-1], int(rng.integers(2, 3 * n)))
-        got, want = _spline(x, y, xs), CubicSpline(x, y)(xs)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(y))
+        theta = offset + 10.0**log_step * np.arange(n)
+        c = rng.standard_normal(4)
+        s = np.linspace(theta[0], theta[-1], int(rng.integers(2, 3 * n)))
+        # the cubic in the span's unit coordinate, so c sets its size
+        r, want = (np.polyval(c, (x - theta[0]) / (theta[-1] - theta[0])) for x in (theta, s))
+        assert np.max(np.abs(_resample(theta, r, s) - want)) <= 1e-12 * np.sum(np.abs(c))
+
+    def test_reproduces_the_knots(self):
+        rng = np.random.default_rng(5)
+        theta = np.cumsum(rng.uniform(0.5, 2.0, 300))
+        r = rng.standard_normal(300)
+        # a knot inside is the start of its piece; the last one is the end of the last piece
+        assert np.array_equal(_resample(theta, r, theta[:-1]), r[:-1])
+        assert _resample(theta, r, theta[-1:])[0] == pytest.approx(r[-1], abs=1e-14)
+
+    def test_fourth_order_on_a_smooth_non_uniform_phase(self):
+        errors = []
+        for n in (129, 257, 513, 1025, 2049):
+            t = np.linspace(0, 1, n)
+            theta = 2 * np.pi * (3 * t + t**2) + 0.3 * np.sin(2 * np.pi * t)
+            s = np.linspace(theta[0], theta[-1], 5000)
+            r, want = (np.cos(x) + 0.3 * np.sin(2.3 * x) for x in (theta, s))
+            errors.append(np.max(np.abs(_resample(theta, r, s) - want)))
+        assert all(e0 / e1 >= 12 for e0, e1 in zip(errors[:-1], errors[1:])), errors
+
+    def test_non_positive_five_point_derivative_raises(self):
+        # strictly increasing, but the jump after sample 3 turns the centred
+        # difference at sample 2 negative
+        theta = np.array([0.0, 1.0, 1.001, 1.002, 10.0, 11.0, 12.0])
+        with pytest.raises(NumericalFailureError, match="five-point derivative"):
+            _demodulate(np.cos(theta), theta, 0.5)
 
 
 def partition_reference(tp, d):
@@ -543,6 +572,14 @@ class TestMatchingPursuit:
         dec = matching_pursuit(f, default_cfg(epsilon0=1e-3))
         assert dec.no_progress
         assert dec.n_components == 0
+
+    def test_four_samples_give_no_progress(self):
+        # too short for solve_p2, though its ridges give a pair
+        f = SampledSignal(0, 1, np.cos(2 * np.pi * 0.7 * np.linspace(0, 1, 4)))
+        dec = matching_pursuit(f, default_cfg(epsilon0=1e-2))
+        assert dec.no_progress
+        assert dec.n_components == 0
+        assert np.array_equal(dec.residual.values, f.values)
 
     def test_extraction_order_tracks_component_norms(self):
         f, gt = gen_random_well_separated(2, 2.5, 0.05, 99, 4096, base_freq=24)

@@ -13,7 +13,8 @@ from sparsetf import (InvalidInputError, PhasePair, SampledSignal, Scalogram, bs
 from sparsetf import wavelet
 from sparsetf.signal import extend_span
 from sparsetf.wavelet import (MIN_SAMPLES_PER_CYCLE, _folded_cwt, _gauss_legendre,
-                              _moment_integrands, _periodised_responses, _transform_complex_mode)
+                              _moment_integrands, _periodised_responses, _probe_basis,
+                              _probe_terms)
 
 from conftest import tone, tone_pair
 
@@ -712,5 +713,5 @@ class TestConcentration:
             wrap, idx = np.divmod(it + qs, P)
             z = pair.a[idx] * np.exp(-1j * (pair.theta[idx] + wrap * theta_span))
             direct = np.dot(z, w.time_domain(qs * (h / omega))) * h / np.sqrt(omega)
-            W = _transform_complex_mode(pair, w, it, omega)
+            W = _probe_terms(pair, _probe_basis(pair), w, it, omega)[0]
             assert abs(W - direct) / np.sqrt(omega) < 1e-11
