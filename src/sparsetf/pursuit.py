@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .ridge import recover_components
 from .separation import check_scale_separation
 from .signal import (Decomposition, DictionaryParams, PhasePair, SampledSignal,
@@ -112,18 +112,19 @@ def _resample(theta: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     theta and r share a uniform time grid, so the slope at a knot is
     dr/dtheta = (dr/di)/(dtheta/di), each a fourth-order five-point difference
-    in the sample index i (one-sided at the two samples nearest each end).
+    in the sample index i (one-sided at the two samples nearest each end), or
+    both centred where a kink makes the five-point dtheta/di not positive.
     Each interval is the cubic Hermite piece through its knots' values and
     slopes.  theta: finite, strictly increasing, at least five samples.
-    Raises ``NumericalFailureError`` unless dtheta/di is positive.
     """
     y = np.stack([theta, r])
     d = np.empty_like(y)
     d[:, 2:-2] = (y[:, :-4] - 8.0 * y[:, 1:-3] + 8.0 * y[:, 3:-1] - y[:, 4:]) / 12.0
     ends = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
     d[:, :2], d[:, :-3:-1] = y[:, :5] @ ends.T, -(y[:, :-6:-1] @ ends.T)  # mirrored at t1
-    if not np.all(d[0] > 0):
-        raise NumericalFailureError("the phase's five-point derivative is not positive")
+    kink = d[0] <= 0
+    if kink.any():
+        d[:, kink] = np.gradient(y, axis=1)[:, kink]
     slope = d[1] / d[0]
     h = np.diff(theta)
     m = np.diff(r) / h
@@ -144,11 +145,9 @@ def _demodulate(r_values: np.ndarray, theta: np.ndarray, eta: float,
     and maps the slow complex envelope back to the time grid: its real part
     is the in-phase envelope, its imaginary part the quadrature one.  For
     r = A*cos(theta + phi) with slow A, phi this returns (A*cos(phi),
-    -A*sin(phi)).  Raises ``NumericalFailureError`` unless theta is finite and
-    strictly increasing with a positive five-point derivative (``_resample``).
+    -A*sin(phi)).  theta: finite and strictly increasing, as ``solve_p2``
+    checks on entry and every ``PhasePair`` is.
     """
-    if not np.all(np.isfinite(theta)) or np.any(np.diff(theta) <= 0):
-        raise NumericalFailureError("the phase is not finite and strictly increasing")
     s = np.linspace(theta[0], theta[-1], _fast_len(theta.size - 1) + 1)
     two_r = 2.0 * _resample(theta, r_values, s)
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
@@ -167,12 +166,13 @@ def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
 
     One path for both extensions: the frequency is averaged over one mean
     carrier period with the span extended as ``extension``, floored at
-    ``(1-delta) * min(theta_cur')``, integrated and anchored at the span
-    midpoint.  Under ``periodic`` the frequency is ``adv/T`` (``adv`` the
-    advance across the span) plus the derivative of the detrended phase
-    ``theta - adv*t/T`` across the wrap of its ``extend_span``, and the result
-    keeps ``max(1, round(adv/(2*pi)))`` whole cycles.  Under ``mirror`` the
-    derivative is one-sided at the span ends and the advance is left free.
+    ``(1-delta) * min(diff(theta_cur))/h`` > 0, integrated (so strictly
+    increasing) and anchored at the span midpoint.  Under ``periodic`` the
+    frequency is ``adv/T`` (``adv`` the advance across the span) plus the
+    derivative of the detrended phase ``theta - adv*t/T`` across the wrap of
+    its ``extend_span``, and the result keeps ``max(1, round(adv/(2*pi)))``
+    whole cycles.  Under ``mirror`` the derivative is one-sided at the span
+    ends and the advance is left free.
     """
     n = theta_raw.size
     adv = theta_raw[-1] - theta_raw[0]
@@ -182,7 +182,7 @@ def _project_phase(theta_raw: np.ndarray, theta_cur: np.ndarray, h: float,
     else:
         om = differentiate(theta_raw, h)
     window = int(round(2.0 * np.pi / max(float(np.mean(om)), 1e-300) / h))
-    floor = (1.0 - delta) * float(np.min(differentiate(theta_cur, h)))
+    floor = (1.0 - delta) * float(np.min(np.diff(theta_cur))) / h
     theta = cumulative_integral(np.maximum(moving_average(om, window, extension), floor), h)
     if extension == "periodic":
         theta *= 2.0 * np.pi * max(1.0, np.round(adv / (2.0 * np.pi))) / theta[-1]
@@ -230,8 +230,7 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     best_pair, best_obj = None, np.inf
     converged = False
     iterations = 0
-    damp = 1.0
-    consecutive_bad = 0
+    rejections = 0  # rejections in a row; each halves the step
     # cutoff continuation: a stiff first stage at half the full cutoff locks
     # the phase onto the smooth minimizer before the full envelope bandwidth
     # opens up.  A neighbour at phase ratio d demodulates to 1 - 1/d cycles
@@ -241,41 +240,35 @@ def solve_p2(r: SampledSignal, theta_init, cfg: PursuitConfig,
     for _ in range(INNER_MAX_ITER):
         iterations += 1
         at_full_bandwidth = eta == full
-        if consecutive_bad == 0:  # a rejection keeps theta and eta, so the demodulation stands
+        if rejections == 0:  # a rejection keeps theta and eta, so the demodulation stands
             a_t, b_t = _demodulate(r.values, theta, eta, extension)
             amp = np.hypot(a_t, b_t)
             phi = np.arctan2(-b_t, a_t)
             if not np.all(np.abs(np.diff(phi)) < np.pi):  # with no jump, unwrap returns phi
                 phi = np.unwrap(phi)  # correction can exceed one cycle
             rel_update = float(np.max(np.abs(phi))) / (2.0 * np.pi)
-        theta_new = _project_phase(theta + damp * phi, theta, h, cfg.delta, extension)
+        theta_new = _project_phase(theta + 0.5**rejections * phi, theta, h, cfg.delta, extension)
         # project onto (a margin around) the constraint set: tame the envelope
         # until the pair is admissible; candidates whose advantage lives in
         # inadmissible wiggles lose it here and fail the objective gate below
-        tamed = _tame_envelope(amp, theta_new, eta, r, cfg, a_floor, extension)
-        if tamed is not None:
-            pair = tamed
-            obj = p2_objective(r, pair)
-        flat = tamed is not None and abs(obj - history[-1]) <= stall
-        if tamed is not None and obj <= history[-1] + slack:
+        pair = _tame_envelope(amp, theta_new, eta, r, cfg, a_floor, extension)
+        obj = np.inf if pair is None else p2_objective(r, pair)
+        flat = abs(obj - history[-1]) <= stall
+        accept = obj <= history[-1] + slack
+        if accept:
             history.append(obj)
             if obj < best_obj:
                 best_pair, best_obj = pair, obj
             theta = theta_new
-            damp = 1.0
-            consecutive_bad = 0
-            eta = full
-        elif flat and not at_full_bandwidth:  # a flat step opens full bandwidth unaccepted
-            damp = 1.0
-            consecutive_bad = 0
+        if accept or (flat and not at_full_bandwidth):  # a flat step opens full bandwidth
+            rejections = 0
             eta = full
         else:
-            consecutive_bad += 1
-            damp *= 0.5
+            rejections += 1
         if at_full_bandwidth and (rel_update < INNER_TOL or flat) and best_pair is not None:
             converged = True
             break
-        if consecutive_bad >= 2:
+        if rejections >= 2:
             break
     if best_pair is None:  # no admissible iterate: no pair, and the empty fit
         best_obj = history[0]
@@ -287,8 +280,9 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
     """Low-pass the envelope until the candidate pair is admissible.
 
     The gate sits at ADMISSIBILITY_MARGIN times the target separation factor
-    (iterates carry residual junk).  Returns None when no amount of envelope
-    smoothing helps, i.e. the phase itself violates the metrics.
+    (iterates carry residual junk).  Returns None, unfiltered, when the phase
+    itself fails it (theta' not positive or the frequency metric too large),
+    which no envelope filter changes, or when six halvings of the cutoff fail.
     """
     eps_cap = ADMISSIBILITY_MARGIN * cfg.params.epsilon
     cycles = (theta[-1] - theta[0]) / (2.0 * np.pi)
@@ -296,8 +290,11 @@ def _tame_envelope(amp: np.ndarray, theta: np.ndarray, eta: float, r: SampledSig
     cur = amp
     for _ in range(7):
         pair = PhasePair(r.t0, r.t1, np.maximum(cur, a_floor), theta)
-        if check_scale_separation(pair, eps_cap).in_dictionary:
+        report = check_scale_separation(pair, eps_cap)
+        if report.in_dictionary:
             return pair
+        if report.m_prime == np.inf or not report.eps_frequency <= eps_cap:  # the phase fails
+            return None
         cutoff *= 0.5
         cur = spectral_filter(amp, lambda c: c < cutoff, extension)
     return None
